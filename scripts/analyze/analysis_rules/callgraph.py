@@ -66,6 +66,9 @@ class CallRef:
     line: int
     kind: str  # "call" | "member"
     arg_idents: tuple = ()
+    #: Member calls: the identifier the call is made on (`p` in
+    #: `p.propose(...)`), "" when the receiver is an expression.
+    receiver: str = ""
 
     @property
     def last(self) -> str:
@@ -101,6 +104,8 @@ class LambdaBody:
     constructs: list = dataclasses.field(default_factory=list)
     lambdas: list = dataclasses.field(default_factory=list)
     token_start: int = 0
+    #: Inherited from the enclosing function (see FunctionDef).
+    dispatch_params: tuple = ()
 
 
 @dataclasses.dataclass
@@ -114,6 +119,10 @@ class FunctionDef:
     calls: list = dataclasses.field(default_factory=list)
     constructs: list = dataclasses.field(default_factory=list)
     lambdas: list = dataclasses.field(default_factory=list)
+    #: Parameters whose type is one of the function template's own type
+    #: parameters (`Proposal proposal` in `template <class Proposal>`): a
+    #: member call on one may reach the same-named method of ANY class.
+    dispatch_params: tuple = ()
 
     @property
     def name(self) -> str:
@@ -161,6 +170,19 @@ class CallGraph:
             return [fn for fns in self.by_qname.values() for fn in fns
                     if fns[0].qname.endswith(suffix)]
         return self.by_last.get(norm, [])
+
+    def dispatch_targets(self, body):
+        """(call, target) for each member call `body` makes on a
+        template-dispatch parameter — the policy calls of a template such
+        as run_swap_chain<Proposal>. Every same-named definition is a
+        possible instantiation, so all are returned: the token frontend
+        cannot pick the instantiation, and the contracts must hold for
+        each."""
+        receivers = getattr(body, "dispatch_params", ())
+        for call in body.calls:
+            if call.kind == "member" and call.receiver in receivers:
+                for target in self.resolve(call.name):
+                    yield call, target
 
     def resolve_scoped(self, name: str, caller_qname: str):
         """Like :meth:`resolve`, but a *bare* name called from inside a
@@ -247,6 +269,44 @@ def _param_names(tokens, start, end):
     return tuple(names)
 
 
+def _template_type_params(tokens, start, end):
+    """Names declared `class X` / `typename X` in a template header span."""
+    names = []
+    for k in range(start, end - 1):
+        if tokens[k].value in ("class", "typename") and \
+                tokens[k + 1].kind == "ident":
+            names.append(tokens[k + 1].value)
+    return tuple(names)
+
+
+def _dispatch_params(tokens, start, end, type_params):
+    """Parameter names in [start, end) whose top-level type names one of
+    `type_params` — `(Proposal proposal, const Proposal& p)`."""
+    if not type_params:
+        return ()
+    names = []
+    group = []
+    depth = 0
+    for t in list(tokens[start:end]) + [None]:
+        if t is None or (t.kind == "punct" and t.value == "," and
+                         depth == 0):
+            idents = [g.value for g in group]
+            if len(idents) >= 2 and any(
+                    ident.split("::", 1)[0] in type_params
+                    for ident in idents[:-1]):
+                names.append(idents[-1])
+            group = []
+            continue
+        if t.kind == "punct":
+            if t.value in ("(", "[", "{", "<"):
+                depth += 1
+            elif t.value in (")", "]", "}", ">"):
+                depth -= 1
+        elif t.kind == "ident" and depth == 0:
+            group.append(t)
+    return tuple(names)
+
+
 def _first_param_name(tokens, start, end):
     """Declared name of the first parameter —
     `(const exec::Chunk& chunk, EdgeList& mine)` -> 'chunk'."""
@@ -261,6 +321,9 @@ class _Parser:
         self.f = source_file
         self.tokens = source_file.tokens()
         self.graph = graph
+        # Type parameters of the template header just parsed; consumed by
+        # the next declaration.
+        self.template_params = ()
 
     # ---- scope level ----------------------------------------------------
 
@@ -280,6 +343,7 @@ class _Parser:
                     i = self._namespace(i, end, scope)
                     continue
                 if v in ("class", "struct"):
+                    self.template_params = ()
                     i = self._class(i, end, scope)
                     continue
                 if v == "enum":
@@ -289,9 +353,13 @@ class _Parser:
                     i += 1
                     if i < end and tokens[i].value == "<":
                         skipped = _skip_template_args(tokens, i)
+                        if skipped is not None:
+                            self.template_params = _template_type_params(
+                                tokens, i + 1, skipped - 1)
                         i = skipped if skipped is not None else i + 1
                     continue
                 if v == "using" or v == "typedef" or v == "friend":
+                    self.template_params = ()
                     while i < end and tokens[i].value != ";":
                         i += 1
                     continue
@@ -386,6 +454,7 @@ class _Parser:
         tokens = self.tokens
         fn_name = name if name is not None else tokens[name_i].value
         after_params = _skip_matched(tokens, paren_i, "(", ")")
+        type_params, self.template_params = self.template_params, ()
         j = after_params
         seen_init_list = False
         while j < end:
@@ -401,7 +470,9 @@ class _Parser:
                     qname="::".join(scope + tuple(fn_name.split("::"))),
                     file=self.f.path, line=tokens[name_i].line,
                     params=_param_names(tokens, paren_i + 1,
-                                        after_params - 1))
+                                        after_params - 1),
+                    dispatch_params=_dispatch_params(
+                        tokens, paren_i + 1, after_params - 1, type_params))
                 end_i = self._body(j + 1, end, body_fn)
                 self.graph.add(body_fn)
                 self._attach_exec_lambdas(body_fn)
@@ -544,8 +615,10 @@ class _Parser:
                 prev = tokens[i - 1] if i > 0 else None
                 if prev is not None and prev.kind == "punct" and \
                         prev.value in (".", "->"):
+                    receiver = tokens[i - 2].value if i > 1 and \
+                        tokens[i - 2].kind == "ident" else ""
                     sink.calls.append(CallRef(v, t.line, "member",
-                                              arg_idents))
+                                              arg_idents, receiver))
                 elif prev is not None and self._is_type_position(i):
                     # `Type name(args)` / `Type name{args}` declaration:
                     # a construction of Type, not a call of `name`.
@@ -596,7 +669,8 @@ class _Parser:
             return after_capture  # not a lambda after all (array literal?)
         lam = LambdaBody(file=self.f.path, line=tokens[i].line,
                          first_param=params[0] if params else "",
-                         params=params, token_start=i)
+                         params=params, token_start=i,
+                         dispatch_params=sink.dispatch_params)
         end_i = self._body(j + 1, end, lam)
         sink.lambdas.append(lam)
         # Flatten: the enclosing body "reaches" everything the lambda does,

@@ -124,11 +124,15 @@ def check(ctx):
                 # exec call sites in their own right.
                 continue
             targets = graph.resolve_scoped(call.name, qname)
-            if call.kind == "member" and len(targets) > 1:
+            dispatch = call.receiver in getattr(body, "dispatch_params", ())
+            if call.kind == "member" and len(targets) > 1 and not dispatch:
                 # A member call with several same-named candidates and no
                 # receiver type at token level: traversing all of them
                 # would make every `.record()`/`.size()` reach every
-                # class's homonym. Precision over a fabricated chain.
+                # class's homonym. Precision over a fabricated chain. A
+                # call on a template-dispatch parameter (a swap-chain
+                # policy) is the exception: every candidate is a possible
+                # instantiation, so every one is traversed.
                 continue
             for target in sorted(targets, key=lambda t: (t.file, t.line)):
                 if _is_shim(target.qname) or id(target) in visited:

@@ -59,14 +59,27 @@ def check(ctx):
             seen.add(key)
             diags.append(base.Diagnostic(path, line, NAME, message))
 
+    def bodies(lam):
+        """The callback plus the policy methods it calls through a
+        template-dispatch parameter (run_swap_chain's proposal.propose):
+        a policy body runs inline in the chunk loop, so the same seeding
+        contract applies to it."""
+        yield lam
+        for _, target in ctx.graph.dispatch_targets(lam):
+            yield target
+
     for site in sorted(ctx.graph.exec_callsites,
                        key=lambda s: (s.file, s.line)):
         for lam in site.lambdas:
             chunk_param = lam.first_param or "chunk"
-            for con in sorted(lam.constructs, key=lambda c: c.line):
+            constructs = sorted(
+                ((body.file, con) for body in bodies(lam)
+                 for con in body.constructs),
+                key=lambda fc: (fc[0], fc[1].line))
+            for path, con in constructs:
                 if con.last not in ENGINE_LASTS:
                     continue
-                if ctx.sanctioned(lam.file, con.line, NAME):
+                if ctx.sanctioned(path, con.line, NAME):
                     continue
                 arg_lasts = _lasts(con.arg_idents)
                 if any(a in FACTORY_LASTS for a in arg_lasts):
@@ -74,14 +87,14 @@ def check(ctx):
                 if "rng" in arg_lasts and chunk_param in con.arg_idents:
                     continue  # copy of chunk.rng() stream
                 if any(a in THREAD_IDENTITY for a in arg_lasts):
-                    emit(lam.file, con.line,
+                    emit(path, con.line,
                          f"'{con.type_name}' inside a {site.primitive} "
                          "chunk callback is seeded from thread identity — "
                          "output then depends on the thread count; seed "
                          f"from {chunk_param}.rng() or "
                          "chunk_seed/task_seed instead")
                     continue
-                emit(lam.file, con.line,
+                emit(path, con.line,
                      f"'{con.type_name}' constructed inside a "
                      f"{site.primitive} chunk callback without a "
                      "chunk-seeded stream — the seed expression must flow "

@@ -154,6 +154,20 @@ class RuleDiagnosticsTest(unittest.TestCase):
             "(file I/O) inside a for_chunks chunk callback (reached via "
             "append_row)", self.out)
 
+    def test_exec_purity_follows_template_dispatch_policy_calls(self):
+        # policy.propose() has two same-named candidates; the receiver is
+        # a template type parameter, so every candidate is traversed.
+        self.assertIn(
+            "src/core/bad_policy_dispatch.cpp:14: [exec-purity] "
+            "'std::this_thread::sleep_for' (sleeping) inside a for_chunks "
+            "chunk callback (reached via propose)", self.out)
+
+    def test_rng_determinism_follows_template_dispatch_policy_calls(self):
+        self.assertIn(
+            "src/core/bad_policy_dispatch.cpp:15: [rng-determinism] "
+            "'nullgraph::Xoshiro256ss' constructed inside a for_chunks "
+            "chunk callback without a chunk-seeded stream", self.out)
+
     def test_rng_determinism_flags_shared_run_seed(self):
         self.assertIn(
             "src/core/bad_rng_seed.cpp:20: [rng-determinism] "

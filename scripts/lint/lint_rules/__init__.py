@@ -12,7 +12,8 @@ DESIGN.md section 8 for the policy each existing rule encodes.
 
 from . import (atomics, determinism, include_hygiene, io_confinement,
                model_confinement, obs_confinement, omp_confinement,
-               svc_confinement)
+               svc_confinement, swap_chain_confinement)
 
 ALL_RULES = [omp_confinement, svc_confinement, io_confinement, determinism,
-             atomics, include_hygiene, model_confinement, obs_confinement]
+             atomics, include_hygiene, model_confinement, obs_confinement,
+             swap_chain_confinement]

@@ -82,7 +82,8 @@ class DriverTest(unittest.TestCase):
         self.assertEqual(result.returncode, 0)
         for name in ("omp-confinement", "svc-confinement", "io-confinement",
                      "determinism", "atomics", "include-hygiene",
-                     "model-confinement", "obs-confinement"):
+                     "model-confinement", "obs-confinement",
+                     "swap-chain-confinement"):
             self.assertIn(name, result.stdout)
 
 
@@ -152,6 +153,23 @@ class RuleDiagnosticsTest(unittest.TestCase):
         # a string literal; none may fire.
         result = run_driver("--root", str(FIXTURES / "clean"),
                             "--rules", "model-confinement")
+        self.assertEqual(result.returncode, 0, result.stdout)
+
+    def test_swap_chain_confinement_flags_each_primitive_call(self):
+        # knuth_targets, apply_targets_parallel, apply_targets_serial; the
+        # swap_edges_serial DECLARATION above them (with its `= {}`
+        # default) must not open a sanctioned body.
+        for line in (7, 8, 9):
+            self.assertIn(
+                f"src/directed/bad_swap_copy.cpp:{line}: "
+                "[swap-chain-confinement] permutation primitive outside "
+                "the shared swap chain", self.out)
+
+    def test_swap_chain_confinement_allows_serial_reference(self):
+        # The clean fixture permutes inside a swap_edges_serial body, names
+        # the primitives in a comment, and calls a lookalike; none fire.
+        result = run_driver("--root", str(FIXTURES / "clean"),
+                            "--rules", "swap-chain-confinement")
         self.assertEqual(result.returncode, 0, result.stdout)
 
     def test_obs_confinement_flags_include_emit_and_scope(self):

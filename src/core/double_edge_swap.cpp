@@ -1,31 +1,13 @@
 #include "core/double_edge_swap.hpp"
 
-#include <chrono>
-#include <thread>
 #include <unordered_map>
 
-#include "ds/concurrent_hash_set.hpp"
-#include "exec/exec.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "permute/permutation.hpp"
 #include "util/rng.hpp"
 
 namespace nullgraph {
 
 namespace {
-
-/// Per-chunk counters for the table-refill and pair-swap reductions.
-struct CensusCounts {
-  std::size_t loops = 0;
-  std::size_t dups = 0;
-};
-
-struct PairCounts {
-  std::size_t swapped = 0;
-  std::size_t rejected_existing = 0;
-  std::size_t rejected_loop = 0;
-};
 
 /// Stateless fair coin for (seed, pair): selects the swap partnering.
 bool pair_coin(std::uint64_t seed, std::uint64_t pair) {
@@ -34,7 +16,8 @@ bool pair_coin(std::uint64_t seed, std::uint64_t pair) {
 }
 
 /// The two candidate partnerings of Algorithm III.1 lines 11-16.
-void propose(const Edge& e, const Edge& f, bool coin, Edge& g, Edge& h) {
+void partner_by_coin(const Edge& e, const Edge& f, bool coin, Edge& g,
+                     Edge& h) {
   if (coin) {
     g = {e.u, f.u};  // {u, x}
     h = {e.v, f.v};  // {v, y}
@@ -44,225 +27,26 @@ void propose(const Edge& e, const Edge& f, bool coin, Edge& g, Edge& h) {
   }
 }
 
+/// Coin partnering: one coin seed per iteration, one coin per pair.
+struct CoinPartnering {
+  using Item = Edge;
+  static constexpr const char* kPhase = "swaps";
+  static constexpr const char* kSpan = "swap iteration";
+  std::uint64_t coin_seed = 0;
+
+  void begin_iteration(std::uint64_t& seed_chain) {
+    coin_seed = splitmix64_next(seed_chain);
+  }
+  void propose(std::size_t k, const Edge& e, const Edge& f, Edge& g,
+               Edge& h) const {
+    partner_by_coin(e, f, pair_coin(coin_seed, k), g, h);
+  }
+};
+
 }  // namespace
 
 SwapStats swap_edges(EdgeList& edges, const SwapConfig& config) {
-  SwapStats stats;
-  const std::size_t m = edges.size();
-
-  const RunGovernor* gov = config.governor;
-  // Pre-allocation gate: a run already stopped (e.g. the memory-budget
-  // check in null_model, or a cancellation before this phase) must not pay
-  // for the table below — nor fabricate degenerate-path iterations.
-  if (gov != nullptr) {
-    const StatusCode verdict = gov->should_stop();
-    if (verdict != StatusCode::kOk) {
-      stats.stop_reason = verdict;
-      stats.final_chain_state = config.start_iteration > 0
-                                    ? config.resume_chain_state
-                                    : config.seed;
-      return stats;
-    }
-  }
-
-  if (m < 2) {
-    stats.iterations.resize(config.iterations);
-    for (SwapIterationStats& it : stats.iterations)
-      for (const Edge& e : edges)
-        if (e.is_loop()) ++it.input_self_loops;
-    return stats;
-  }
-
-  // Worst-case inserts per iteration: <= m refill keys plus 2 candidates
-  // per pair — size for both so the table's <= 0.5 load invariant holds.
-  ConcurrentHashSet table(m + 2 * (m / 2));
-  table.set_probe_histogram(
-      ConcurrentHashSet::probe_histogram(config.obs.metrics));
-  // Counter handles are acquired once, outside the chain; per-iteration
-  // recording is a handful of striped relaxed adds.
-  obs::Counter* c_attempted = nullptr;
-  obs::Counter* c_committed = nullptr;
-  obs::Counter* c_rej_existing = nullptr;
-  obs::Counter* c_rej_loop = nullptr;
-  obs::Gauge* g_acceptance = nullptr;
-  if (config.obs.metrics != nullptr) {
-    c_attempted = config.obs.metrics->counter("swaps.attempted");
-    c_committed = config.obs.metrics->counter("swaps.committed");
-    c_rej_existing = config.obs.metrics->counter("swaps.rejected_existing");
-    c_rej_loop = config.obs.metrics->counter("swaps.rejected_loop");
-    g_acceptance =
-        config.obs.metrics->gauge("swaps.windowed_acceptance_permille");
-  }
-  std::vector<std::uint8_t> ever_swapped;
-  if (config.track_swapped_edges) ever_swapped.assign(m, 0);
-
-  // The watchdog is armed only under governance: ungoverned callers (unit
-  // tests, benchmarks) get exactly the historical run-to-completion chain.
-  StallWatchdog watchdog(gov != nullptr ? gov->watchdog()
-                                        : WatchdogConfig{.enabled = false});
-
-  std::uint64_t seed_chain = config.start_iteration > 0
-                                 ? config.resume_chain_state
-                                 : config.seed;
-  stats.final_chain_state = seed_chain;
-  stats.iterations.reserve(config.iterations - config.start_iteration);
-  // Refill/census passes run ungoverned: a skipped refill chunk would
-  // leave keys out of T (risking duplicate commits) and undercount the
-  // input census the simplicity proof leans on. Only the pair loop — the
-  // expensive, skippable part — is governed.
-  exec::ParallelContext refill_ctx;
-  refill_ctx.timings = config.timings;
-  refill_ctx.phase = "swaps";
-  refill_ctx.obs = config.obs;
-  exec::ParallelContext pair_ctx = refill_ctx;
-  pair_ctx.governor = gov;
-  for (std::size_t iter = config.start_iteration; iter < config.iterations;
-       ++iter) {
-    if (gov != nullptr) {
-      if (gov->budget().max_swap_iterations != 0 &&
-          iter >= gov->budget().max_swap_iterations)
-        gov->note_stop(StatusCode::kDeadlineExceeded);
-      const StatusCode verdict = gov->should_stop();
-      if (verdict != StatusCode::kOk) {
-        stats.stop_reason = verdict;
-        break;
-      }
-    }
-    obs::TraceSpan iter_span(config.obs.trace, "swap iteration");
-    if (config.slow_iteration_ms != 0) {
-      obs::TraceSpan slow_span(config.obs.trace, "injected slow iteration");
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(config.slow_iteration_ms));
-    }
-    stats.iterations.emplace_back();
-    SwapIterationStats& it_stats = stats.iterations.back();
-    const std::uint64_t permute_seed = splitmix64_next(seed_chain);
-    const std::uint64_t coin_seed = splitmix64_next(seed_chain);
-
-    // 1. T <- all current edges (multi-edge copies collapse to one key).
-    //    Self-loop keys are skipped: a candidate is never a loop, so their
-    //    presence in T could not block anything. The same pass counts the
-    //    input simplicity census for free.
-    if (stats.iterations.size() > 1) table.clear();
-    const CensusCounts input = exec::reduce<CensusCounts>(
-        refill_ctx, m, exec::kDefaultGrain, CensusCounts{},
-        [&](const exec::Chunk& chunk) {
-          CensusCounts mine;
-          for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-            const Edge e = edges[i];
-            if (e.is_loop()) {
-              ++mine.loops;
-              continue;
-            }
-            if (table.test_and_set(e.key())) ++mine.dups;
-          }
-          return mine;
-        },
-        [](CensusCounts a, CensusCounts b) {
-          a.loops += b.loops;
-          a.dups += b.dups;
-          return a;
-        });
-    it_stats.input_self_loops = input.loops;
-    it_stats.input_multi_edges = input.dups;
-
-    // 2. Permute(E) — and the swap flags travel with their edges.
-    const std::vector<std::uint64_t> targets = knuth_targets(m, permute_seed);
-    const std::span<const std::uint64_t> target_span(targets.data(),
-                                                     targets.size());
-    apply_targets_parallel(std::span<Edge>(edges), target_span, gov);
-    if (config.track_swapped_edges) {
-      apply_targets_parallel(std::span<std::uint8_t>(ever_swapped),
-                             target_span, gov);
-    }
-
-    // 3. Attempt one swap per adjacent pair. The exec chunk grain of 4096
-    // replaces the old per-4096-pairs verdict refresh: the governor is
-    // polled once per chunk, and a tripped run skips whole chunks (those
-    // pairs keep their edges).
-    const std::size_t pairs = m / 2;
-    const PairCounts counts = exec::reduce<PairCounts>(
-        pair_ctx, pairs, 4096, PairCounts{},
-        [&](const exec::Chunk& chunk) {
-          PairCounts mine;
-          for (std::size_t k = chunk.begin; k < chunk.end; ++k) {
-            const Edge e = edges[2 * k];
-            const Edge f = edges[2 * k + 1];
-            Edge g, h;
-            propose(e, f, pair_coin(coin_seed, k), g, h);
-            if (g.is_loop() || h.is_loop()) {
-              ++mine.rejected_loop;
-              continue;
-            }
-            // TestAndSet returns true when the key already exists -> reject.
-            // A failed second insertion leaves g in T: a conservative
-            // over-approximation, exactly as in the paper (no deletions).
-            if (table.test_and_set(g.key()) || table.test_and_set(h.key())) {
-              ++mine.rejected_existing;
-              continue;
-            }
-            edges[2 * k] = g;
-            edges[2 * k + 1] = h;
-            ++mine.swapped;
-            if (config.track_swapped_edges) {
-              ever_swapped[2 * k] = 1;
-              ever_swapped[2 * k + 1] = 1;
-            }
-          }
-          return mine;
-        },
-        [](PairCounts a, PairCounts b) {
-          a.swapped += b.swapped;
-          a.rejected_existing += b.rejected_existing;
-          a.rejected_loop += b.rejected_loop;
-          return a;
-        });
-    it_stats.attempted = pairs;
-    it_stats.swapped = counts.swapped;
-    it_stats.rejected_existing = counts.rejected_existing;
-    it_stats.rejected_loop = counts.rejected_loop;
-    stats.final_chain_state = seed_chain;
-    if (c_attempted != nullptr) {
-      c_attempted->add(pairs);
-      c_committed->add(counts.swapped);
-      c_rej_existing->add(counts.rejected_existing);
-      c_rej_loop->add(counts.rejected_loop);
-    }
-    // Windowed (this iteration only) acceptance, as permille: the cumulative
-    // committed/attempted counters above hide a stalling chain's tail.
-    if (g_acceptance != nullptr && pairs > 0)
-      g_acceptance->set(
-          static_cast<std::int64_t>(1000 * counts.swapped / pairs));
-
-    if (gov != nullptr) {
-      watchdog.record(it_stats.attempted, it_stats.swapped);
-      if (watchdog.stalled()) gov->note_stop(StatusCode::kSwapStalled);
-    }
-    if (config.on_iteration) {
-      SwapProgress progress;
-      progress.completed_iterations = iter + 1;
-      progress.total_iterations = config.iterations;
-      progress.chain_state = seed_chain;
-      progress.edges = &edges;
-      config.on_iteration(progress);
-    }
-  }
-  if (gov != nullptr && stats.stop_reason == StatusCode::kOk &&
-      gov->stopped())
-    stats.stop_reason = gov->stop_reason();
-
-  if (config.track_swapped_edges) {
-    stats.edges_ever_swapped = exec::reduce<std::size_t>(
-        refill_ctx, m, exec::kDefaultGrain, 0,
-        [&](const exec::Chunk& chunk) {
-          std::size_t count = 0;
-          for (std::size_t i = chunk.begin; i < chunk.end; ++i)
-            count += ever_swapped[i];
-          return count;
-        },
-        [](std::size_t a, std::size_t b) { return a + b; });
-  }
-  return stats;
+  return run_swap_chain(edges, config, CoinPartnering{});
 }
 
 SwapStats swap_edges_serial(EdgeList& edges, const SwapConfig& config) {
@@ -320,7 +104,7 @@ SwapStats swap_edges_serial(EdgeList& edges, const SwapConfig& config) {
       const Edge e = edges[2 * k];
       const Edge f = edges[2 * k + 1];
       Edge g, h;
-      propose(e, f, pair_coin(coin_seed, k), g, h);
+      partner_by_coin(e, f, pair_coin(coin_seed, k), g, h);
       if (g.is_loop() || h.is_loop()) {
         ++it_stats.rejected_loop;
         continue;

@@ -1,127 +1,15 @@
 #pragma once
-// Parallel double-edge swaps — Algorithm III.1, the paper's primary
-// contribution. Each iteration:
+// Undirected double-edge swaps: the shared Algorithm III.1 chain
+// (core/swap_chain.hpp) with coin partnering — each pair
+// ({u,v},{x,y}) proposes {u,x},{v,y} or {u,y},{v,x} by a fair coin.
 //
-//   1. refill a concurrent hash table T with every current edge,
-//   2. randomly permute the edge list in parallel (Shun et al.),
-//   3. in parallel over adjacent pairs (E[2k], E[2k+1]) = ({u,v},{x,y}):
-//      pick {u,x},{v,y} or {u,y},{v,x} by coin flip and commit the swap iff
-//      both candidates TestAndSet as new and neither is a self-loop.
-//
-// Degree sequence is invariant; simplicity can only improve (candidates
-// are checked against T, which over-approximates the live edge set within
-// an iteration because replaced edges are deliberately left in the table —
-// conservative rejections keep correctness without deletions). Run on a
-// multigraph (e.g. the O(m) Chung-Lu output), iterations progressively
-// eliminate multi-edges and self-loops; Figure 4's "O(m)" series.
-//
-// Swapping adjacent pairs of a uniformly permuted list picks, in parallel,
-// disjoint uniformly-random edge pairs — the MCMC proposal of Milo et al.
-// [22]; iterating mixes toward the uniform simple null model.
+// Degree sequence is invariant; simplicity can only improve. Iterating
+// mixes toward the uniform simple null model.
 
-#include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <vector>
-
+#include "core/swap_chain.hpp"
 #include "ds/edge_list.hpp"
-#include "exec/phase_timing.hpp"
-#include "obs/obs_context.hpp"
-#include "robustness/governance.hpp"
 
 namespace nullgraph {
-
-/// Chain position reported to SwapConfig::on_iteration after each completed
-/// iteration — everything a checkpoint needs to resume the chain exactly.
-struct SwapProgress {
-  std::size_t completed_iterations = 0;  // absolute, includes resumed ones
-  std::size_t total_iterations = 0;      // what the config asked for
-  /// seed_chain value AFTER this iteration: resuming with
-  /// SwapConfig::resume_chain_state = chain_state reproduces the
-  /// uninterrupted chain bit-for-bit.
-  std::uint64_t chain_state = 0;
-  const EdgeList* edges = nullptr;       // current edge list (borrowed)
-};
-
-struct SwapConfig {
-  std::size_t iterations = 10;
-  std::uint64_t seed = 1;
-  /// Also permute a per-edge "has ever swapped" flag alongside the edges
-  /// (costs one extra permutation pass per iteration); enables
-  /// SwapStats::edges_ever_swapped, the paper's mixing diagnostic.
-  bool track_swapped_edges = false;
-
-  /// Optional run governance: polled at iteration boundaries, permutation
-  /// rounds, and every 4096 pairs inside the swap loop; also arms the stall
-  /// watchdog with the governor's WatchdogConfig. A curtailed swap phase
-  /// leaves `edges` a valid graph (committed swaps preserve degrees and
-  /// never introduce loops or duplicates) and reports why in
-  /// SwapStats::stop_reason.
-  const RunGovernor* governor = nullptr;
-  /// Optional exec-layer phase records (wall time / chunk counts),
-  /// aggregated over all iterations under the "swaps" phase name.
-  exec::PhaseTimingSink* timings = nullptr;
-  /// Optional telemetry: swap counters (swaps.attempted / .committed /
-  /// .rejected_existing / .rejected_loop), the shared hash-set probe-length
-  /// histogram, and one trace span per iteration. Default (null handles)
-  /// costs one branch per iteration.
-  obs::ObsContext obs;
-  /// FaultPlan::slow_phase_ms wiring: sleep this long at the top of every
-  /// iteration so deadline/watchdog paths can be drilled deterministically.
-  std::uint64_t slow_iteration_ms = 0;
-  /// Resume: skip the first `start_iteration` iterations (already done
-  /// before a checkpoint) and seed the per-iteration RNG chain from
-  /// `resume_chain_state` instead of deriving it from `seed`.
-  std::size_t start_iteration = 0;
-  std::uint64_t resume_chain_state = 0;
-  /// Checkpoint sink, called after every completed iteration.
-  std::function<void(const SwapProgress&)> on_iteration;
-};
-
-struct SwapIterationStats {
-  std::size_t attempted = 0;           // pairs considered
-  std::size_t swapped = 0;             // pairs committed
-  std::size_t rejected_existing = 0;   // candidate already in T
-  std::size_t rejected_loop = 0;       // candidate was a self-loop
-  /// Simplicity census of the edge list at the START of this iteration,
-  /// counted for free while refilling T (same convention as census():
-  /// multi_edges = copies beyond the first). Since committed swaps never
-  /// introduce loops or duplicates, a final iteration starting clean
-  /// proves the output simple without a separate pass.
-  std::size_t input_self_loops = 0;
-  std::size_t input_multi_edges = 0;
-};
-
-struct SwapStats {
-  std::vector<SwapIterationStats> iterations;
-  /// Edges that took part in >= 1 committed swap over all iterations
-  /// (only when SwapConfig::track_swapped_edges).
-  std::size_t edges_ever_swapped = 0;
-  /// kOk when the chain ran to completion; the governance verdict
-  /// (kDeadlineExceeded / kCancelled / kSwapStalled) when curtailed.
-  StatusCode stop_reason = StatusCode::kOk;
-  /// seed_chain value after the last completed iteration; feed into
-  /// SwapConfig::resume_chain_state to continue the chain exactly.
-  std::uint64_t final_chain_state = 0;
-
-  std::size_t total_swapped() const noexcept {
-    std::size_t sum = 0;
-    for (const auto& it : iterations) sum += it.swapped;
-    return sum;
-  }
-  /// Accepted-swap fraction over the whole recorded chain — the "how mixed
-  /// is the returned graph" number a curtailment reports.
-  double acceptance() const noexcept {
-    std::size_t attempted = 0, swapped = 0;
-    for (const auto& it : iterations) {
-      attempted += it.attempted;
-      swapped += it.swapped;
-    }
-    return attempted == 0
-               ? 0.0
-               : static_cast<double>(swapped) / static_cast<double>(attempted);
-  }
-};
 
 /// Parallel Algorithm III.1; mutates `edges` in place.
 SwapStats swap_edges(EdgeList& edges, const SwapConfig& config = {});

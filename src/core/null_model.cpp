@@ -22,35 +22,11 @@ namespace nullgraph {
 
 namespace {
 
-/// Appends a check; under kStrict a violated invariant aborts immediately
-/// with its typed status.
-void record(PipelineReport& report, RecoveryPolicy policy, std::string phase,
-            Status status, bool repaired = false) {
-  report.checks.push_back({std::move(phase), std::move(status), repaired});
-  const PhaseCheck& check = report.checks.back();
-  if (policy == RecoveryPolicy::kStrict && !check.holds())
-    throw StatusError(check.status);
-}
-
 /// Marks every earlier failed check of `code` repaired (called once the
 /// repair pass has restored the corresponding invariant).
 void mark_repaired(PipelineReport& report, StatusCode code) {
   for (PhaseCheck& check : report.checks)
     if (check.status.code() == code) check.repaired = true;
-}
-
-/// Records a Curtailment for `phase` when the governor has stopped the run.
-/// Curtailments are informational (the best-so-far graph is still
-/// returned), so they never throw, even under kStrict.
-void record_curtailment(PipelineReport& report, const RunGovernor* gov,
-                        const obs::ObsContext& obs, const char* phase,
-                        std::size_t completed, std::size_t requested,
-                        double acceptance = 0.0) {
-  if (gov == nullptr || !gov->stopped()) return;
-  report.curtailments.push_back(
-      {phase, gov->stop_reason(), completed, requested, acceptance});
-  obs::emit_event(obs, obs::EventKind::kCurtailment, phase, completed,
-                  status_code_name(gov->stop_reason()));
 }
 
 /// Estimated swap-phase buffer footprint (edge list + hash table +
@@ -244,15 +220,6 @@ void swap_phase_with_recovery(EdgeList& edges, GenerateResult& result,
          degrees_fixed);
 }
 
-/// Resolves the effective governor for a run: a borrowed external governor
-/// wins (multi-layer drivers share one deadline across calls), otherwise
-/// the run-local instance when governance is enabled, otherwise none.
-const RunGovernor* resolve_governor(const GovernanceConfig& governance,
-                                    const RunGovernor& local) {
-  if (governance.external != nullptr) return governance.external;
-  return governance.enabled ? &local : nullptr;
-}
-
 template <typename Fn>
 auto run_checked(Fn&& fn) -> Result<decltype(fn())> {
   try {
@@ -302,9 +269,8 @@ GenerateResult generate_null_graph(const DegreeDistribution& dist,
   // threaded through every phase; a null pointer keeps the phases on their
   // historical ungoverned paths. The timing sink collects exec-layer
   // chunk/wall records from every phase into report.phase_timings.
-  const RunGovernor governor(config.governance.budget, config.governance.cancel,
-                             config.governance.watchdog);
-  const RunGovernor* gov = resolve_governor(config.governance, governor);
+  const GovernorScope governor(config.governance);
+  const RunGovernor* gov = governor.get();
   exec::PhaseTimingSink sink;
 
   // A non-graphical input has no repair (we never rewrite the caller's
@@ -424,9 +390,8 @@ GenerateResult shuffle_graph(EdgeList edges, const GenerateConfig& config) {
   const bool checking = guard.policy != RecoveryPolicy::kOff;
   std::uint64_t seed_chain = config.seed;
 
-  const RunGovernor governor(config.governance.budget, config.governance.cancel,
-                             config.governance.watchdog);
-  const RunGovernor* gov = resolve_governor(config.governance, governor);
+  const GovernorScope governor(config.governance);
+  const RunGovernor* gov = governor.get();
   exec::PhaseTimingSink sink;
 
   // The input's own degree sequence is the contract; snapshot (fingerprint
@@ -481,9 +446,8 @@ GenerateResult resume_null_graph(const Checkpoint& checkpoint,
   const GuardrailConfig& guard = config.guardrails;
   const bool checking = guard.policy != RecoveryPolicy::kOff;
 
-  const RunGovernor governor(config.governance.budget, config.governance.cancel,
-                             config.governance.watchdog);
-  const RunGovernor* gov = resolve_governor(config.governance, governor);
+  const GovernorScope governor(config.governance);
+  const RunGovernor* gov = governor.get();
   exec::PhaseTimingSink sink;
 
   // The snapshot's fingerprint was computed from its own edge list when it

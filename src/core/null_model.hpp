@@ -33,29 +33,6 @@
 
 namespace nullgraph {
 
-/// Run-governance wiring for one generation (see robustness/governance.hpp).
-/// Disabled by default at the library level so embedded callers keep exact
-/// historical behavior; the CLI enables it for every run, which is where
-/// deadlines, Ctrl-C cancellation, the stall watchdog, and checkpoints are
-/// service-facing defaults.
-struct GovernanceConfig {
-  /// Master switch: when false the other fields are ignored and no governor
-  /// is threaded through the phases.
-  bool enabled = false;
-  RunBudget budget;
-  CancelToken cancel;
-  WatchdogConfig watchdog;
-  /// Borrowed external governor. When set it overrides `enabled`/`budget`/
-  /// `cancel`/`watchdog` and is threaded through every phase instead of a
-  /// run-local governor — the hook multi-layer drivers (LFR) use to spread
-  /// one deadline across many generate calls. Caller keeps ownership.
-  const RunGovernor* external = nullptr;
-  /// Write a checkpoint after every N completed swap iterations (0 = off;
-  /// requires checkpoint_path). See io/checkpoint.hpp for the format.
-  std::size_t checkpoint_every = 0;
-  std::string checkpoint_path;
-};
-
 /// Out-of-core spill mode (DESIGN.md §10). When enabled, the generation
 /// phase may re-route its output to CRC-framed shard files under `dir`
 /// instead of RAM: always when `force` is set, otherwise exactly when the

@@ -18,16 +18,6 @@ namespace nullgraph {
 
 namespace {
 
-/// Same contract as null_model.cpp's file-local record(): append a check,
-/// abort under kStrict on a violated invariant.
-void record(PipelineReport& report, RecoveryPolicy policy, std::string phase,
-            Status status, bool repaired = false) {
-  report.checks.push_back({std::move(phase), std::move(status), repaired});
-  const PhaseCheck& check = report.checks.back();
-  if (policy == RecoveryPolicy::kStrict && !check.holds())
-    throw StatusError(check.status);
-}
-
 std::string mib_string(std::size_t bytes) {
   return std::to_string((bytes + (std::size_t{1} << 20) - 1) >> 20) + " MiB";
 }
@@ -110,22 +100,6 @@ Status pipeline_from_manifest(const ShardManifest& manifest,
   skip_config.timings = sink;
   plan = plan_edge_skip(P, dist, skip_config);
   return Status::Ok();
-}
-
-const RunGovernor* resolve_governor(const GovernanceConfig& governance,
-                                    const RunGovernor& local) {
-  if (governance.external != nullptr) return governance.external;
-  return governance.enabled ? &local : nullptr;
-}
-
-void record_curtailment(PipelineReport& report, const RunGovernor* gov,
-                        const obs::ObsContext& obs, const char* phase,
-                        std::size_t completed, std::size_t requested) {
-  if (gov == nullptr || !gov->stopped()) return;
-  report.curtailments.push_back(
-      {phase, gov->stop_reason(), completed, requested, 0.0});
-  obs::emit_event(obs, obs::EventKind::kCurtailment, phase, completed,
-                  status_code_name(gov->stop_reason()));
 }
 
 /// The swap phase cannot run against a graph that never materializes in
@@ -324,9 +298,8 @@ Result<GenerateResult> resume_from_spill(const std::string& dir,
   const bool checking = guard.policy != RecoveryPolicy::kOff;
   const SpillInstruments ins = spill_instruments(config.obs);
 
-  const RunGovernor governor(config.governance.budget, config.governance.cancel,
-                             config.governance.watchdog);
-  const RunGovernor* gov = resolve_governor(config.governance, governor);
+  const GovernorScope governor(config.governance);
+  const RunGovernor* gov = governor.get();
   exec::PhaseTimingSink sink;
 
   try {

@@ -3,125 +3,85 @@
 #include <algorithm>
 #include <array>
 
-#include "ds/concurrent_hash_set.hpp"
-#include "exec/exec.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "permute/permutation.hpp"
+#include "core/swap_chain.hpp"
 #include "util/rng.hpp"
 
 namespace nullgraph {
 
+namespace {
+
+/// Xulvi-Brunet & Sokolov biased partnering: with probability `bias` pair
+/// k re-pairs its four endpoints by degree toward the target mixing,
+/// otherwise it takes the uniform coin partnering. A pair already in the
+/// target configuration proposes its own edges, which the chain rejects
+/// as existing.
+struct BiasedPartnering {
+  using Item = Edge;
+  static constexpr const char* kPhase = "rewire";
+  static constexpr const char* kSpan = "rewire iteration";
+  const std::vector<std::uint64_t>* degree = nullptr;
+  double bias = 1.0;
+  MixingTarget target = MixingTarget::kAssortative;
+  std::uint64_t pair_seed = 0;
+
+  void begin_iteration(std::uint64_t& seed_chain) {
+    pair_seed = splitmix64_next(seed_chain);
+  }
+  void propose(std::size_t k, const Edge& e, const Edge& f, Edge& g,
+               Edge& h) const {
+    std::uint64_t state = pair_seed ^ (k * 0x9e3779b97f4a7c15ULL);
+    const std::uint64_t randomness = splitmix64_next(state);
+    if ((static_cast<double>(randomness >> 11) * 0x1.0p-53) >= bias) {
+      // Uniform proposal, as in plain swap_edges.
+      if (randomness & 1) {
+        g = {e.u, f.u};
+        h = {e.v, f.v};
+      } else {
+        g = {e.u, f.v};
+        h = {e.v, f.u};
+      }
+      return;
+    }
+    // Sort the four endpoints by degree (ties by id for determinism).
+    const std::vector<std::uint64_t>& deg = *degree;
+    std::array<VertexId, 4> vs{e.u, e.v, f.u, f.v};
+    std::sort(vs.begin(), vs.end(), [&](VertexId a, VertexId b) {
+      if (deg[a] != deg[b]) return deg[a] < deg[b];
+      return a < b;
+    });
+    if (target == MixingTarget::kAssortative) {
+      // Two lowest together, two highest together.
+      g = {vs[0], vs[1]};
+      h = {vs[2], vs[3]};
+    } else {
+      // Lowest with highest, middle pair together.
+      g = {vs[0], vs[3]};
+      h = {vs[1], vs[2]};
+    }
+  }
+};
+
+}  // namespace
+
 RewireStats rewire_assortativity(EdgeList& edges,
                                  const RewireConfig& config) {
   RewireStats stats;
-  const std::size_t m = edges.size();
-  if (m < 2) return stats;
+  if (edges.size() < 2) return stats;
   // Degrees never change under swaps; compute once.
   const std::vector<std::uint64_t> degree = degrees_of(edges);
-
-  // Refill (<= m keys) plus 2 candidates per pair — sized so the <= 0.5
-  // load-factor invariant holds through a whole iteration.
-  ConcurrentHashSet table(m + 2 * (m / 2));
-  table.set_probe_histogram(
-      ConcurrentHashSet::probe_histogram(config.obs.metrics));
-  obs::Counter* c_attempted = nullptr;
-  obs::Counter* c_committed = nullptr;
-  if (config.obs.metrics != nullptr) {
-    c_attempted = config.obs.metrics->counter("rewire.attempted");
-    c_committed = config.obs.metrics->counter("rewire.committed");
-  }
-  // The refill runs ungoverned (a skipped chunk would leave keys out of T
-  // and risk duplicate commits); only the pair loop is skippable.
-  exec::ParallelContext refill_ctx;
-  refill_ctx.timings = config.timings;
-  refill_ctx.phase = "rewire";
-  refill_ctx.obs = config.obs;
-  exec::ParallelContext pair_ctx = refill_ctx;
-  pair_ctx.governor = config.governor;
-  std::uint64_t seed_chain = config.seed;
-  for (std::size_t iter = 0; iter < config.iterations; ++iter) {
-    if (pair_ctx.stopped()) break;
-    obs::TraceSpan iter_span(config.obs.trace, "rewire iteration");
-    const std::uint64_t permute_seed = splitmix64_next(seed_chain);
-    const std::uint64_t pair_seed = splitmix64_next(seed_chain);
-
-    if (iter > 0) table.clear();
-    exec::for_chunks(refill_ctx, m, exec::kDefaultGrain,
-                     [&](const exec::Chunk& chunk) {
-                       for (std::size_t i = chunk.begin; i < chunk.end; ++i)
-                         table.preload(edges[i].key());
-                     });
-
-    const std::vector<std::uint64_t> targets = knuth_targets(m, permute_seed);
-    apply_targets_parallel(std::span<Edge>(edges),
-                           std::span<const std::uint64_t>(targets.data(),
-                                                          targets.size()),
-                           config.governor);
-
-    const std::size_t pairs = m / 2;
-    const std::size_t swapped = exec::reduce<std::size_t>(
-        pair_ctx, pairs, 4096, 0,
-        [&](const exec::Chunk& chunk) {
-          std::size_t mine = 0;
-          for (std::size_t k = chunk.begin; k < chunk.end; ++k) {
-            const Edge e = edges[2 * k];
-            const Edge f = edges[2 * k + 1];
-            std::uint64_t state = pair_seed ^ (k * 0x9e3779b97f4a7c15ULL);
-            const std::uint64_t randomness = splitmix64_next(state);
-
-            Edge g, h;
-            const bool force_target =
-                (static_cast<double>(randomness >> 11) * 0x1.0p-53) <
-                config.bias;
-            if (force_target) {
-              // Sort the four endpoints by degree (ties by id for
-              // determinism).
-              std::array<VertexId, 4> vs{e.u, e.v, f.u, f.v};
-              std::sort(vs.begin(), vs.end(), [&](VertexId a, VertexId b) {
-                if (degree[a] != degree[b]) return degree[a] < degree[b];
-                return a < b;
-              });
-              if (config.target == MixingTarget::kAssortative) {
-                // Two lowest together, two highest together.
-                g = {vs[0], vs[1]};
-                h = {vs[2], vs[3]};
-              } else {
-                // Lowest with highest, middle pair together.
-                g = {vs[0], vs[3]};
-                h = {vs[1], vs[2]};
-              }
-              // Already in the requested configuration? Nothing to gain.
-              if ((g.key() == e.key() && h.key() == f.key()) ||
-                  (g.key() == f.key() && h.key() == e.key()))
-                continue;
-            } else {
-              // Uniform proposal, as in plain swap_edges.
-              if (randomness & 1) {
-                g = {e.u, f.u};
-                h = {e.v, f.v};
-              } else {
-                g = {e.u, f.v};
-                h = {e.v, f.u};
-              }
-            }
-            if (g.is_loop() || h.is_loop()) continue;
-            if (table.test_and_set(g.key()) || table.test_and_set(h.key()))
-              continue;
-            edges[2 * k] = g;
-            edges[2 * k + 1] = h;
-            ++mine;
-          }
-          return mine;
-        },
-        [](std::size_t a, std::size_t b) { return a + b; });
-    stats.attempted += pairs;
-    stats.swapped += swapped;
-    stats.iterations.push_back({pairs, swapped});
-    if (c_attempted != nullptr) {
-      c_attempted->add(pairs);
-      c_committed->add(swapped);
-    }
+  SwapConfig chain;
+  chain.iterations = config.iterations;
+  chain.seed = config.seed;
+  chain.governor = config.governor;
+  chain.timings = config.timings;
+  chain.obs = config.obs;
+  const SwapStats swaps = run_swap_chain(
+      edges, chain,
+      BiasedPartnering{&degree, config.bias, config.target, 0});
+  for (const SwapIterationStats& it : swaps.iterations) {
+    stats.attempted += it.attempted;
+    stats.swapped += it.swapped;
+    stats.iterations.push_back({it.attempted, it.swapped});
   }
   return stats;
 }

@@ -1,15 +1,16 @@
 #pragma once
 // Degree-preserving rewiring toward a target mixing pattern
-// (Xulvi-Brunet & Sokolov): the double-edge-swap proposal machinery of
-// Algorithm III.1 with a biased acceptance rule. With probability `bias`
-// a proposed swap is accepted only if it moves degree assortativity in the
-// requested direction (assortative: re-pair the two highest-degree and two
-// lowest-degree endpoints; disassortative: pair highest with lowest);
-// otherwise the uniform rule applies. bias = 0 reduces to the plain
-// uniform swap chain; bias = 1 drives r toward its extreme subject to
-// simplicity. Degrees and simplicity are preserved exactly throughout —
-// this generates the "null models with tuned assortativity" family used
-// to separate degree effects from mixing effects.
+// (Xulvi-Brunet & Sokolov): the shared Algorithm III.1 chain
+// (core/swap_chain.hpp) with a biased partnering policy. With probability
+// `bias` a pair re-pairs its four endpoints toward the requested direction
+// (assortative: the two highest-degree and two lowest-degree endpoints
+// together; disassortative: highest with lowest); otherwise the uniform
+// coin rule applies. A pair already in the target configuration proposes
+// its own edges, which the chain rejects as existing. bias = 0 reduces to
+// the plain uniform swap chain; bias = 1 drives r toward its extreme
+// subject to simplicity. Degrees and simplicity are preserved exactly
+// throughout — this generates the "null models with tuned assortativity"
+// family used to separate degree effects from mixing effects.
 
 #include <cstdint>
 #include <vector>
@@ -29,14 +30,16 @@ struct RewireConfig {
   /// Fraction of proposals forced toward the target (XBS's p parameter).
   double bias = 1.0;
   MixingTarget target = MixingTarget::kAssortative;
-  /// Optional run governance: polled at iteration boundaries and per chunk
-  /// inside the pair loop. A curtailed rewire leaves `edges` a valid simple
-  /// graph with the original degrees (committed swaps preserve both).
+  /// Optional run governance, with the same contract as
+  /// SwapConfig::governor (iteration cap and stall watchdog included). A
+  /// curtailed rewire leaves `edges` a valid simple graph with the original
+  /// degrees (committed swaps preserve both).
   const RunGovernor* governor = nullptr;
   /// Optional exec-layer phase records under the "rewire" phase name.
   exec::PhaseTimingSink* timings = nullptr;
-  /// Optional telemetry: rewire.attempted / rewire.committed counters, the
-  /// shared hash-set probe-length histogram, and one trace span per
+  /// Optional telemetry: the chain's counters under the "rewire." prefix
+  /// (rewire.attempted / .committed / .rejected_existing / .rejected_loop),
+  /// the shared hash-set probe-length histogram, and one trace span per
   /// iteration (same contract as SwapConfig::obs).
   obs::ObsContext obs;
 };

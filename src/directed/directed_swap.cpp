@@ -4,96 +4,37 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "ds/concurrent_hash_set.hpp"
-#include "exec/exec.hpp"
-#include "permute/permutation.hpp"
 #include "util/rng.hpp"
 
 namespace nullgraph {
 
 namespace {
 
-struct ArcPairCounts {
-  std::size_t swapped = 0;
-  std::size_t rejected_existing = 0;
-  std::size_t rejected_loop = 0;
+/// Direction-preserving arc partnering: arcs (u -> v), (x -> y) become
+/// (u -> y), (x -> v). The other partnering would reverse arc directions
+/// and break the in/out degrees, so there is no coin and no seed.
+struct ArcPartnering {
+  using Item = Arc;
+  static constexpr const char* kPhase = "swaps";
+  static constexpr const char* kSpan = "swap iteration";
+
+  void begin_iteration(std::uint64_t& /*seed_chain*/) {}
+  void propose(std::size_t /*k*/, const Arc& a, const Arc& b, Arc& g,
+               Arc& h) const {
+    g = {a.from, b.to};
+    h = {b.from, a.to};
+  }
 };
 
 }  // namespace
 
 DirectedSwapStats directed_swap_arcs(ArcList& arcs,
                                      const DirectedSwapConfig& config) {
-  DirectedSwapStats stats;
-  stats.iterations.resize(config.iterations);
-  const std::size_t m = arcs.size();
-  if (m < 2) return stats;
-
-  // Refill (<= m keys) plus 2 candidates per pair — sized so the <= 0.5
-  // load-factor invariant holds through a whole iteration.
-  ConcurrentHashSet table(m + 2 * (m / 2));
-  // Refill runs ungoverned (a skipped chunk would leave keys out of T and
-  // risk duplicate commits); only the pair loop is skippable.
-  const exec::ParallelContext refill_ctx;
-  exec::ParallelContext pair_ctx;
-  pair_ctx.governor = config.governor;
-  std::uint64_t seed_chain = config.seed;
-  for (std::size_t iter = 0; iter < config.iterations; ++iter) {
-    if (pair_ctx.stopped()) break;
-    DirectedSwapIterationStats& it_stats = stats.iterations[iter];
-    const std::uint64_t permute_seed = splitmix64_next(seed_chain);
-
-    if (iter > 0) table.clear();
-    exec::for_chunks(refill_ctx, m, exec::kDefaultGrain,
-                     [&](const exec::Chunk& chunk) {
-                       for (std::size_t i = chunk.begin; i < chunk.end; ++i)
-                         table.preload(arcs[i].key());
-                     });
-
-    const std::vector<std::uint64_t> targets = knuth_targets(m, permute_seed);
-    apply_targets_parallel(std::span<Arc>(arcs),
-                           std::span<const std::uint64_t>(targets.data(),
-                                                          targets.size()),
-                           config.governor);
-
-    const std::size_t pairs = m / 2;
-    const ArcPairCounts counts = exec::reduce<ArcPairCounts>(
-        pair_ctx, pairs, 4096, ArcPairCounts{},
-        [&](const exec::Chunk& chunk) {
-          ArcPairCounts mine;
-          for (std::size_t k = chunk.begin; k < chunk.end; ++k) {
-            const Arc a = arcs[2 * k];
-            const Arc b = arcs[2 * k + 1];
-            // Single valid partnering: (u->y), (x->v). No coin needed — the
-            // other pairing reverses directions and breaks the in/out
-            // degrees.
-            const Arc g{a.from, b.to};
-            const Arc h{b.from, a.to};
-            if (g.is_loop() || h.is_loop()) {
-              ++mine.rejected_loop;
-              continue;
-            }
-            if (table.test_and_set(g.key()) || table.test_and_set(h.key())) {
-              ++mine.rejected_existing;
-              continue;
-            }
-            arcs[2 * k] = g;
-            arcs[2 * k + 1] = h;
-            ++mine.swapped;
-          }
-          return mine;
-        },
-        [](ArcPairCounts a, ArcPairCounts b) {
-          a.swapped += b.swapped;
-          a.rejected_existing += b.rejected_existing;
-          a.rejected_loop += b.rejected_loop;
-          return a;
-        });
-    it_stats.attempted = pairs;
-    it_stats.swapped = counts.swapped;
-    it_stats.rejected_existing = counts.rejected_existing;
-    it_stats.rejected_loop = counts.rejected_loop;
-  }
-  return stats;
+  SwapConfig chain;
+  chain.iterations = config.iterations;
+  chain.seed = config.seed;
+  chain.governor = config.governor;
+  return run_swap_chain(arcs, chain, ArcPartnering{});
 }
 
 std::size_t reverse_directed_triangles(ArcList& arcs, std::uint64_t seed,

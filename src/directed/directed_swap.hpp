@@ -1,10 +1,11 @@
 #pragma once
-// Parallel double-edge swaps for simple digraphs: the Algorithm III.1
-// machinery with the single direction-preserving partnering. Arcs
-// a = (u -> v), b = (x -> y) swap to (u -> y), (x -> v), which preserves
-// every vertex's in- AND out-degree (the other partnering would reverse
-// arc directions and change them). Simplicity checks run against a
-// concurrent table of ORDERED arc keys.
+// Parallel double-edge swaps for simple digraphs: the shared Algorithm
+// III.1 chain (core/swap_chain.hpp) with its direction-preserving arc
+// partnering policy. Arcs a = (u -> v), b = (x -> y) swap to (u -> y),
+// (x -> v), which preserves every vertex's in- AND out-degree (the other
+// partnering would reverse arc directions and change them). Simplicity
+// checks run against the chain's concurrent table of ORDERED arc keys.
+// bipartite_swap runs the same policy on offset right-side ids.
 //
 // Known caveat (Erdős, Miklós & Toroczkai [15]): the directed 2-swap chain
 // is not irreducible on every digraph space — an induced directed 3-cycle
@@ -27,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/swap_chain.hpp"
 #include "directed/directed_distribution.hpp"
 #include "robustness/governance.hpp"
 
@@ -35,28 +37,17 @@ namespace nullgraph {
 struct DirectedSwapConfig {
   std::size_t iterations = 10;
   std::uint64_t seed = 1;
-  /// Optional run governance: polled at iteration boundaries and per chunk
-  /// inside the pair loop. A curtailed chain leaves `arcs` a valid digraph
-  /// with the original in/out degrees.
+  /// Optional run governance, with the same contract as
+  /// SwapConfig::governor: polled at iteration boundaries and per chunk
+  /// inside the pair loop, RunBudget::max_swap_iterations enforced, stall
+  /// watchdog armed. A curtailed chain leaves `arcs` a valid digraph with
+  /// the original in/out degrees.
   const RunGovernor* governor = nullptr;
 };
 
-struct DirectedSwapIterationStats {
-  std::size_t attempted = 0;
-  std::size_t swapped = 0;
-  std::size_t rejected_existing = 0;
-  std::size_t rejected_loop = 0;
-};
-
-struct DirectedSwapStats {
-  std::vector<DirectedSwapIterationStats> iterations;
-
-  std::size_t total_swapped() const noexcept {
-    std::size_t sum = 0;
-    for (const auto& it : iterations) sum += it.swapped;
-    return sum;
-  }
-};
+/// The shared chain's counters; arc chains fill the same fields.
+using DirectedSwapIterationStats = SwapIterationStats;
+using DirectedSwapStats = SwapStats;
 
 /// Parallel directed swaps; mutates `arcs` in place.
 DirectedSwapStats directed_swap_arcs(ArcList& arcs,

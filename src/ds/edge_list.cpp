@@ -74,16 +74,15 @@ SimplicityCensus census(const EdgeList& edges) {
 bool is_simple(const EdgeList& edges) { return census(edges).simple(); }
 
 EdgeList erase_nonsimple(const EdgeList& edges) {
+  // One serial pass: which copy of a duplicate survives, and where it
+  // sits, depends on the input order alone — never on which thread wins a
+  // claim race — so the output is the same at every thread count.
   ConcurrentHashSet seen(edges.size());
-  const exec::ParallelContext ctx;
-  return exec::collect<Edge>(
-      ctx, edges.size(), exec::kDefaultGrain,
-      [&](const exec::Chunk& chunk, std::vector<Edge>& out) {
-        for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-          const Edge e = edges[i];
-          if (!e.is_loop() && !seen.test_and_set(e.key())) out.push_back(e);
-        }
-      });
+  EdgeList out;
+  out.reserve(edges.size());
+  for (const Edge& e : edges)
+    if (!e.is_loop() && !seen.test_and_set(e.key())) out.push_back(e);
+  return out;
 }
 
 bool same_edge_multiset(const EdgeList& a, const EdgeList& b) {

@@ -38,7 +38,8 @@ SimplicityCensus census(const EdgeList& edges);
 bool is_simple(const EdgeList& edges);
 
 /// Copy with self-loops and duplicate edges removed ("erased" models keep
-/// the first occurrence of each undirected edge).
+/// the first occurrence of each undirected edge, in input order; the
+/// result does not depend on the thread count).
 EdgeList erase_nonsimple(const EdgeList& edges);
 
 /// True when both lists contain the same multiset of undirected edges.

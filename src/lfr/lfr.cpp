@@ -163,13 +163,8 @@ LfrGraph generate_lfr(const LfrParams& params) {
   // layers borrow it through GovernanceConfig::external, and the seed chain
   // still advances for skipped layers so a curtailed run never perturbs the
   // seeds of the layers that did complete.
-  const RunGovernor governor(params.governance.budget,
-                             params.governance.cancel,
-                             params.governance.watchdog);
-  const RunGovernor* gov =
-      params.governance.external != nullptr ? params.governance.external
-      : params.governance.enabled           ? &governor
-                                            : nullptr;
+  const GovernorScope governor(params.governance);
+  const RunGovernor* gov = governor.get();
   GenerateConfig layer_config;
   layer_config.swap_iterations = params.swap_iterations;
   layer_config.governance.external = gov;

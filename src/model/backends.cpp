@@ -23,7 +23,6 @@
 #include "lfr/lfr.hpp"
 #include "model/registry.hpp"
 #include "model/rmat.hpp"
-#include "obs/event_log.hpp"
 
 namespace nullgraph::model {
 namespace {
@@ -38,39 +37,6 @@ std::string format_note(const char* fmt, ...) {
   std::vsnprintf(buffer, sizeof(buffer), fmt, args);
   va_end(args);
   return buffer;
-}
-
-/// Resolves the effective governor for backends whose kernels take a
-/// borrowed `const RunGovernor*`: an external (test-owned) governor wins,
-/// otherwise a local one is built from the config, otherwise null. The
-/// deadline clock starts at construction — build this immediately before
-/// the generation call.
-class GovernorScope {
- public:
-  explicit GovernorScope(const GovernanceConfig& governance)
-      : local_(governance.budget, governance.cancel, governance.watchdog),
-        governor_(governance.external != nullptr
-                      ? governance.external
-                      : (governance.enabled ? &local_ : nullptr)) {}
-
-  const RunGovernor* get() const noexcept { return governor_; }
-
- private:
-  RunGovernor local_;
-  const RunGovernor* governor_;
-};
-
-/// A governed stop becomes a Curtailment entry so report.curtailed_by()
-/// and the CLI's typed exit code see it — same contract the null-model
-/// pipeline implements internally.
-void record_curtailment(PipelineReport& report, const RunGovernor* governor,
-                        const obs::ObsContext& obs, const char* phase,
-                        std::size_t completed, std::size_t requested) {
-  if (governor == nullptr || !governor->stopped()) return;
-  report.curtailments.push_back(
-      {phase, governor->stop_reason(), completed, requested, 0.0});
-  obs::emit_event(obs, obs::EventKind::kCurtailment, phase, completed,
-                  status_code_name(governor->stop_reason()));
 }
 
 /// Shared degree-distribution input: --dist FILE wins, otherwise the

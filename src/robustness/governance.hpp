@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "robustness/status.hpp"
@@ -191,6 +192,50 @@ class RunGovernor {
   /// StatusCode of the first stop verdict (kOk while running). Mutable +
   /// atomic: should_stop() is const and called concurrently.
   mutable std::atomic<int> tripped_{static_cast<int>(StatusCode::kOk)};
+};
+
+/// Run-governance wiring for one generation.
+/// Disabled by default at the library level so embedded callers keep exact
+/// historical behavior; the CLI enables it for every run, which is where
+/// deadlines, Ctrl-C cancellation, the stall watchdog, and checkpoints are
+/// service-facing defaults.
+struct GovernanceConfig {
+  /// Master switch: when false the other fields are ignored and no governor
+  /// is threaded through the phases.
+  bool enabled = false;
+  RunBudget budget;
+  CancelToken cancel;
+  WatchdogConfig watchdog;
+  /// Borrowed external governor. When set it overrides `enabled`/`budget`/
+  /// `cancel`/`watchdog` and is threaded through every phase instead of a
+  /// run-local governor — the hook multi-layer drivers (LFR) use to spread
+  /// one deadline across many generate calls. Caller keeps ownership.
+  const RunGovernor* external = nullptr;
+  /// Write a checkpoint after every N completed swap iterations (0 = off;
+  /// requires checkpoint_path). See io/checkpoint.hpp for the format.
+  std::size_t checkpoint_every = 0;
+  std::string checkpoint_path;
+};
+
+/// Resolves the effective governor for one run: a borrowed external
+/// governor wins (multi-layer drivers share one deadline across calls),
+/// otherwise a local one built from the config when governance is enabled,
+/// otherwise none (null keeps the phases on their ungoverned paths). The
+/// deadline clock starts at construction — build this immediately before
+/// the governed work.
+class GovernorScope {
+ public:
+  explicit GovernorScope(const GovernanceConfig& governance)
+      : local_(governance.budget, governance.cancel, governance.watchdog),
+        governor_(governance.external != nullptr
+                      ? governance.external
+                      : (governance.enabled ? &local_ : nullptr)) {}
+
+  const RunGovernor* get() const noexcept { return governor_; }
+
+ private:
+  RunGovernor local_;
+  const RunGovernor* governor_;
 };
 
 }  // namespace nullgraph

@@ -1,8 +1,10 @@
 #include "robustness/invariants.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "exec/exec.hpp"
+#include "obs/event_log.hpp"
 
 namespace nullgraph {
 
@@ -59,6 +61,25 @@ std::string PipelineReport::summary() const {
     out += " threads\n";
   }
   return out;
+}
+
+void record(PipelineReport& report, RecoveryPolicy policy, std::string phase,
+            Status status, bool repaired) {
+  report.checks.push_back({std::move(phase), std::move(status), repaired});
+  const PhaseCheck& check = report.checks.back();
+  if (policy == RecoveryPolicy::kStrict && !check.holds())
+    throw StatusError(check.status);
+}
+
+void record_curtailment(PipelineReport& report, const RunGovernor* governor,
+                        const obs::ObsContext& obs, const char* phase,
+                        std::size_t completed, std::size_t requested,
+                        double acceptance) {
+  if (governor == nullptr || !governor->stopped()) return;
+  report.curtailments.push_back(
+      {phase, governor->stop_reason(), completed, requested, acceptance});
+  obs::emit_event(obs, obs::EventKind::kCurtailment, phase, completed,
+                  status_code_name(governor->stop_reason()));
 }
 
 Status check_graphical(const DegreeDistribution& dist) {

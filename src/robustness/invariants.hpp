@@ -20,8 +20,10 @@
 #include "ds/degree_distribution.hpp"
 #include "ds/edge_list.hpp"
 #include "exec/phase_timing.hpp"
+#include "obs/obs_context.hpp"
 #include "prob/probability_matrix.hpp"
 #include "robustness/fault_injection.hpp"
+#include "robustness/governance.hpp"
 #include "robustness/repair.hpp"
 #include "robustness/status.hpp"
 
@@ -117,6 +119,21 @@ struct PipelineReport {
   /// One line per check, for logs / --verbose CLI output.
   std::string summary() const;
 };
+
+/// Appends a check; under kStrict a violated invariant aborts immediately
+/// with its typed status (StatusError).
+void record(PipelineReport& report, RecoveryPolicy policy, std::string phase,
+            Status status, bool repaired = false);
+
+/// Records a Curtailment for `phase` (and emits its structured event) when
+/// `governor` has stopped the run; a no-op otherwise. Curtailments are
+/// informational — the best-so-far graph is still returned — so this never
+/// throws, even under kStrict. `acceptance` is the swap chain's accepted
+/// fraction so far, 0 for non-swap phases.
+void record_curtailment(PipelineReport& report, const RunGovernor* governor,
+                        const obs::ObsContext& obs, const char* phase,
+                        std::size_t completed, std::size_t requested,
+                        double acceptance = 0.0);
 
 /// Erdős–Gallai gate on the input distribution.
 Status check_graphical(const DegreeDistribution& dist);

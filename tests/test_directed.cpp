@@ -285,6 +285,25 @@ TEST(DirectedSwap, StatsConsistent) {
   }
 }
 
+TEST(DirectedSwap, IterationBudgetReportsOnlyCompletedIterations) {
+  const DirectedDegreeDistribution dist = skewed_directed();
+  ArcList arcs = kleitman_wang(dist.in_sequence(), dist.out_sequence());
+  const std::size_t n = dist.num_vertices();
+  const auto in_before = in_degrees_of(arcs, n);
+  const auto out_before = out_degrees_of(arcs, n);
+  const RunGovernor governor(RunBudget{.max_swap_iterations = 2},
+                             CancelToken{});
+  const DirectedSwapStats stats = directed_swap_arcs(
+      arcs, {.iterations = 6, .seed = 7, .governor = &governor});
+  EXPECT_EQ(stats.iterations.size(), 2u);
+  EXPECT_EQ(stats.stop_reason, StatusCode::kDeadlineExceeded);
+  for (const auto& it : stats.iterations)
+    EXPECT_EQ(it.attempted, arcs.size() / 2);
+  EXPECT_EQ(in_degrees_of(arcs, n), in_before);
+  EXPECT_EQ(out_degrees_of(arcs, n), out_before);
+  EXPECT_TRUE(is_simple(arcs));
+}
+
 // --- End-to-end ------------------------------------------------------------------
 
 TEST(DirectedNullGraph, SimpleAndNearTargets) {
