@@ -15,6 +15,13 @@ the edge list, so this rule keeps the permutation primitives
 
 A new swap family adds a proposal policy, not a chain. Code outside
 ``src/`` (tests, benchmarks) may call the primitives directly.
+
+The reservation-round kernel (``apply_targets_parallel`` and
+``parallel_permute(``) is slower than the serial Knuth loop it reproduces
+at every measured thread count, so it is kept out of production paths
+altogether: under ``src/`` it may appear only in ``src/permute/``, not in
+the chain or the serial reference either. Tests and benchmarks still
+measure it against the serial loop.
 """
 
 import re
@@ -34,6 +41,14 @@ _PRIMITIVE = re.compile(
     r"(?<![A-Za-z0-9_])(?:knuth_targets\s*\(|apply_targets_[A-Za-z0-9_]*)")
 _DEFINITION = re.compile(
     r"(?<![A-Za-z0-9_])(?:%s)\s*\(" % "|".join(SANCTIONED_FUNCTIONS))
+
+_PARALLEL_KERNEL = re.compile(
+    r"(?<![A-Za-z0-9_])(?:apply_targets_parallel|parallel_permute\s*\()")
+
+_KERNEL_MESSAGE = ("reservation-round permutation outside src/permute/ — "
+                   "apply the same Knuth targets with apply_targets_serial "
+                   "or serial_permute, which give the identical permutation "
+                   "faster")
 
 _MESSAGE = ("permutation primitive outside the shared swap chain — add a "
             "proposal policy for core/swap_chain.hpp's run_swap_chain "
@@ -83,9 +98,15 @@ def _sanctioned_body_lines(code_lines):
 def check(tree: base.SourceTree):
     diags = []
     for f in tree.files:
-        if not f.path.startswith("src/") or f.path in SANCTIONED_FILES:
+        if not f.path.startswith("src/"):
             continue
         if any(f.in_dir(d) for d in SANCTIONED_DIRS):
+            continue
+        for lineno, line in enumerate(f.code_lines, start=1):
+            if _PARALLEL_KERNEL.search(line):
+                diags.append(
+                    base.Diagnostic(f.path, lineno, NAME, _KERNEL_MESSAGE))
+        if f.path in SANCTIONED_FILES:
             continue
         sanctioned = None
         for lineno, line in enumerate(f.code_lines, start=1):

@@ -166,11 +166,28 @@ class RuleDiagnosticsTest(unittest.TestCase):
                 "the shared swap chain", self.out)
 
     def test_swap_chain_confinement_allows_serial_reference(self):
-        # The clean fixture permutes inside a swap_edges_serial body, names
-        # the primitives in a comment, and calls a lookalike; none fire.
+        # The clean fixture permutes inside a swap_edges_serial body, calls
+        # serial_permute in a generator, names the primitives in comments,
+        # and calls lookalikes; none fire.
         result = run_driver("--root", str(FIXTURES / "clean"),
                             "--rules", "swap-chain-confinement")
         self.assertEqual(result.returncode, 0, result.stdout)
+
+    def test_swap_chain_confinement_flags_reservation_kernel_everywhere(self):
+        # apply_targets_parallel / parallel_permute( are flagged in the
+        # shared chain, in a generator, in the serial reference's body, and
+        # (besides the chain diagnostic) in a copy of the chain.
+        for path, line in (("src/core/swap_chain.hpp", 9),
+                           ("src/directed/bad_swap_copy.cpp", 8),
+                           ("src/gen/bad_parallel_permute.cpp", 5),
+                           ("src/gen/bad_parallel_permute.cpp", 10)):
+            self.assertIn(
+                f"{path}:{line}: [swap-chain-confinement] reservation-round "
+                "permutation outside src/permute/", self.out)
+        # The chain's knuth_targets call and the serial reference's stay
+        # sanctioned.
+        self.assertNotIn("src/core/swap_chain.hpp:8:", self.out)
+        self.assertNotIn("src/gen/bad_parallel_permute.cpp:9:", self.out)
 
     def test_obs_confinement_flags_include_emit_and_scope(self):
         # The event_log.hpp include, the emit_event call, and the RAII

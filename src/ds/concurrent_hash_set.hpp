@@ -68,6 +68,14 @@ class ConcurrentHashSet {
   /// verdict carries no information. The one sanctioned discard.
   void preload(std::uint64_t key) noexcept { (void)insert(key); }
 
+  /// Hint: start loading the cache line of `key`'s first probe slot, so a
+  /// later insert()/contains() of `key` finds it in cache. Changes no
+  /// state; a pure performance hint for loops that know their keys ahead.
+  void prefetch(std::uint64_t key) const noexcept {
+    __builtin_prefetch(&slots_[static_cast<std::size_t>(hash(key)) & mask_],
+                       1);
+  }
+
   /// True when `key` is in the table. Thread-safe against concurrent
   /// inserts (may miss keys being inserted concurrently).
   [[nodiscard]] bool contains(std::uint64_t key) const noexcept;

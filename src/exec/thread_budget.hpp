@@ -18,7 +18,7 @@
 //                     resolved_threads() consults that thread-local budget
 //                     whenever `threads == 0`, so every context built
 //                     anywhere under the job — edge lists, hash-set
-//                     preloads, permutation rounds — inherits the job's
+//                     preloads, permutation targets — inherits the job's
 //                     share with zero plumbing through the phase configs.
 //
 // The thread-local is keyed on the OS thread because a job IS a thread in

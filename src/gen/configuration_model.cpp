@@ -14,7 +14,8 @@ EdgeList configuration_multigraph(const DegreeDistribution& dist,
   // Stub array: vertex v appears degree(v) times. Classes own contiguous
   // id and stub ranges, so the fill parallelizes per class. The fill and
   // the pairing run ungoverned (a skipped chunk would leave zero-vertex
-  // stubs); governance acts through the permutation's per-round polls.
+  // stubs); a run already stopped skips the shuffle and pairs the stubs in
+  // fill order.
   const std::size_t nc = dist.num_classes();
   std::vector<std::uint64_t> stub_offset(nc + 1, 0);
   for (std::size_t c = 0; c < nc; ++c) {
@@ -33,7 +34,8 @@ EdgeList configuration_multigraph(const DegreeDistribution& dist,
       }
     }
   });
-  parallel_permute(std::span<VertexId>(stub_owner), seed, governor);
+  if (governor == nullptr || governor->should_stop() == StatusCode::kOk)
+    serial_permute(std::span<VertexId>(stub_owner), seed);
   EdgeList edges(stubs / 2);
   exec::for_chunks(ctx, edges.size(), exec::kDefaultGrain,
                    [&](const exec::Chunk& chunk) {

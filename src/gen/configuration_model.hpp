@@ -3,8 +3,8 @@
 // pairing. Background baselines from Section II-B — the "repeated" variant
 // shows why re-rolling until simple is hopeless on skewed inputs, and the
 // "erased" variant is the classical accuracy-losing fix (Figure 2's model
-// family). Stub pairing uses the parallel permutation, so generation is
-// fully parallel.
+// family). Stub pairing is the Knuth shuffle for stateless (seed, i)
+// targets, the same permutation at any thread count.
 
 #include <cstdint>
 #include <optional>
@@ -17,9 +17,9 @@ namespace nullgraph {
 
 /// Uniform random pairing of all stubs: a loopy multigraph whose degree
 /// sequence matches `dist` EXACTLY (unlike Chung-Lu, which only matches in
-/// expectation). The optional governor is polled per permutation round; a
-/// stopped run pairs a partially-shuffled stub array (still a valid
-/// multigraph realization of `dist`, just less mixed).
+/// expectation). The optional governor is polled once, before the stub
+/// shuffle; a run already stopped skips it and pairs the stubs in fill
+/// order (still a valid multigraph realization of `dist`, just unmixed).
 EdgeList configuration_multigraph(const DegreeDistribution& dist,
                                   std::uint64_t seed = 1,
                                   const RunGovernor* governor = nullptr);

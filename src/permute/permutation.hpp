@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "exec/exec.hpp"
-#include "robustness/governance.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -40,22 +39,13 @@ namespace detail {
 
 /// Round-synchronous reservation driver shared by all element types.
 /// `swap_cells(i, j)` must swap application data between cells i and j.
-/// The optional governor is polled once per round; stopping mid-shuffle
-/// leaves a partially-applied permutation, which is still a permutation of
-/// the input (no element is lost or duplicated).
 template <typename SwapFn>
 PermuteStats run_reservation_rounds(std::size_t n,
                                     std::span<const std::uint64_t> targets,
-                                    SwapFn&& swap_cells,
-                                    const RunGovernor* governor = nullptr) {
+                                    SwapFn&& swap_cells) {
   PermuteStats stats;
   if (n < 2) return stats;
-  // Phases run ungoverned (a skipped chunk inside a round would strand
-  // reservations); the governor gates between rounds instead, which is the
-  // same cadence the hand-rolled loop used.
   const exec::ParallelContext ctx;
-  exec::ParallelContext round_ctx = ctx;
-  round_ctx.governor = governor;
   // Reservation array: holds the highest iteration index currently bidding
   // for each cell. Iteration 0 is a no-op (H[0] == 0), so 0 doubles as the
   // "free" sentinel and max() resolves priority.
@@ -74,7 +64,6 @@ PermuteStats run_reservation_rounds(std::size_t n,
                    });
 
   while (!remaining.empty()) {
-    if (round_ctx.stopped()) break;
     ++stats.rounds;
     // Phase 1: every live iteration bids for its two cells.
     exec::for_chunks(ctx, remaining.size(), exec::kDefaultGrain,
@@ -149,27 +138,26 @@ void apply_targets_serial(std::span<T> values,
   }
 }
 
-/// Parallel Knuth shuffle against explicit targets (Shun et al.).
+/// Parallel Knuth shuffle against explicit targets (Shun et al.). Slower
+/// than apply_targets_serial at every measured thread count, so production
+/// paths use the serial apply; this one is kept as the paper's kernel for
+/// tests and benchmarks.
 template <typename T>
 PermuteStats apply_targets_parallel(std::span<T> values,
-                                    std::span<const std::uint64_t> targets,
-                                    const RunGovernor* governor = nullptr) {
+                                    std::span<const std::uint64_t> targets) {
   return detail::run_reservation_rounds(
       values.size(), targets,
-      [&](std::size_t i, std::size_t j) { std::swap(values[i], values[j]); },
-      governor);
+      [&](std::size_t i, std::size_t j) { std::swap(values[i], values[j]); });
 }
 
 /// Uniformly permutes `values` in parallel.
 template <typename T>
-PermuteStats parallel_permute(std::span<T> values, std::uint64_t seed,
-                              const RunGovernor* governor = nullptr) {
+PermuteStats parallel_permute(std::span<T> values, std::uint64_t seed) {
   const std::vector<std::uint64_t> targets =
       knuth_targets(values.size(), seed);
   return apply_targets_parallel(
       values,
-      std::span<const std::uint64_t>(targets.data(), targets.size()),
-      governor);
+      std::span<const std::uint64_t>(targets.data(), targets.size()));
 }
 
 /// Uniformly permutes `values` serially; same output as parallel_permute

@@ -15,13 +15,13 @@
 //
 // RunGovernor bundles the three and is checked at CHUNK granularity inside
 // the parallel loops (per degree-class row in the prob solver, per task in
-// edge-skip, per round in the permutation, per iteration and per pair
-// block in the swap phase) — never per element, so default-on governance
-// stays off the critical path. A verdict is STICKY: once a run trips, every
-// later should_stop() returns the same code, letting all phases drain
-// cooperatively. Expiry never throws; the pipeline degrades gracefully by
-// returning the best-so-far graph and recording a Curtailment in the
-// PipelineReport (see invariants.hpp).
+// edge-skip, per iteration and per pair block in the swap phase) — never
+// per element, so default-on governance stays off the critical path. A
+// verdict is STICKY: once a run trips, every later should_stop() returns
+// the same code, letting all phases drain cooperatively. Expiry never
+// throws; the pipeline degrades gracefully by returning the best-so-far
+// graph and recording a Curtailment in the PipelineReport (see
+// invariants.hpp).
 
 #include <atomic>
 #include <chrono>

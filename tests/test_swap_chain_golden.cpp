@@ -2,6 +2,7 @@
 // at one thread, a 64-bit fingerprint of the output edge ORDER plus the
 // per-iteration counters, so any drift in a family's seed stream, proposal
 // rule, acceptance rule or permutation shows up here as a changed number.
+// One more case checks that the chain asks for each pair's proposal once.
 
 #include <gtest/gtest.h>
 #include <omp.h>
@@ -190,6 +191,74 @@ TEST_F(SwapChainGolden, RewireBothTargetsHalfBias) {
       iterations.push_back({it.attempted, it.swapped});
     EXPECT_EQ(edge_fingerprint(edges), c.fingerprint);
     EXPECT_EQ(iterations, c.iterations);
+  }
+}
+
+// The cases above fit in one 4096-pair chunk. These two span several pair
+// and refill chunks, so every chunk boundary and chunk tail of the pair
+// loop and the refill is on the pinned path.
+TEST_F(SwapChainGolden, SwapEdgesMultiChunkTracked) {
+  EdgeList edges = random_multigraph(500, 40000, 31);
+  SwapConfig config;
+  config.iterations = 3;
+  config.seed = 32;
+  config.track_swapped_edges = true;
+  const SwapStats stats = swap_edges(edges, config);
+  EXPECT_EQ(edge_fingerprint(edges), 6902709350907056176u);
+  EXPECT_EQ(counters_of(stats),
+            (std::vector<Counters>{{20000, 8108, 11804, 88},
+                                   {20000, 7493, 12435, 72},
+                                   {20000, 7227, 12695, 78}}));
+  EXPECT_EQ(stats.edges_ever_swapped, 30453u);
+  EXPECT_EQ(stats.final_chain_state, 13064056694810536094u);
+}
+
+TEST_F(SwapChainGolden, DirectedSwapArcsMultiChunk) {
+  ArcList arcs = random_digraph(3000, 36000, 33);
+  const DirectedSwapStats stats =
+      directed_swap_arcs(arcs, {.iterations = 3, .seed = 34});
+  EXPECT_EQ(arc_fingerprint(arcs), 14165371135828290114u);
+  EXPECT_EQ(counters_of(stats),
+            (std::vector<Counters>{{17968, 17739, 218, 11},
+                                   {17968, 17721, 235, 12},
+                                   {17968, 17716, 235, 17}}));
+}
+
+/// Test policy: swaps endpoints within the pair and counts how often the
+/// chain asks for each pair's proposal.
+struct CountingPartnering {
+  using Item = Edge;
+  static constexpr const char* kPhase = "swaps";
+  static constexpr const char* kSpan = "swap iteration";
+  std::vector<std::uint32_t>* calls = nullptr;
+
+  void begin_iteration(std::uint64_t& seed_chain) {
+    splitmix64_next(seed_chain);
+  }
+  void propose(std::size_t k, const Edge& e, const Edge& f, Edge& g,
+               Edge& h) const {
+    ++(*calls)[k];
+    g = {e.u, f.v};
+    h = {f.u, e.v};
+  }
+};
+
+TEST_F(SwapChainGolden, ProposesEachPairExactlyOnceAtAnyThreadCount) {
+  // The pair loop proposes ahead of the pair it tests; a proposal made
+  // twice would double an expensive policy's cost (XBS sorts by degree).
+  // 20001 pairs: five chunks, the last one a single pair.
+  const EdgeList base = random_multigraph(500, 40003, 35);
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    EdgeList edges = base;
+    std::vector<std::uint32_t> calls(edges.size() / 2, 0);
+    SwapConfig config;
+    config.iterations = 3;
+    config.seed = 36;
+    run_swap_chain(edges, config, CountingPartnering{.calls = &calls});
+    for (std::size_t k = 0; k < calls.size(); ++k)
+      ASSERT_EQ(calls[k], 3u) << "pair " << k << " at " << threads
+                              << " threads";
   }
 }
 
