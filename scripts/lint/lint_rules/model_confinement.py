@@ -38,7 +38,7 @@ SANCTIONED_DIRS = (
 
 _ENTRY_POINT = re.compile(
     r"(?<![A-Za-z0-9_])(?:"
-    r"generate_null_graph(?:_checked)?|generate_connected_null_graph|"
+    r"generate_null_graph(?:_checked)?|"
     r"generate_for_sequence|generate_directed_null_graph|"
     r"bipartite_null_graph|chung_lu_multigraph|erased_chung_lu|"
     r"bernoulli_chung_lu|generate_lfr|rmat_edges"

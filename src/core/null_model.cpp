@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <optional>
 #include <utility>
 
-#include "analysis/components.hpp"
 #include "core/out_of_core.hpp"
 #include "exec/exec.hpp"
 #include "io/checkpoint.hpp"
@@ -101,7 +101,7 @@ SwapStats run_swaps(EdgeList& edges, const SwapConfig& config,
     // input census is real (nothing moves between iterations), so the
     // piggybacked simplicity counts stay truthful.
     SwapStats stats;
-    stats.iterations.resize(config.iterations);
+    stats.iterations.resize(config.iterations - config.start_iteration);
     const SimplicityCensus c = census(edges);
     for (SwapIterationStats& it : stats.iterations) {
       it.input_self_loops = c.self_loops;
@@ -138,8 +138,8 @@ SimplicityCensus output_census(const EdgeList& edges, const SwapStats& stats) {
   return census(edges);
 }
 
-/// Swap phase under guardrails, shared by generate and shuffle.
-/// `expected_fp` is the pre-fault degree fingerprint the phase must
+/// Retry-and-repair tail of the guarded swap phase (every policy but
+/// kOff). `expected_fp` is the pre-fault degree fingerprint the phase must
 /// preserve; `pristine` (kRepair only) is the pre-fault edge list whose
 /// exact degrees become the repair target when a repair triggers. When
 /// `input_phase` is set, the phase's input simplicity is recorded under
@@ -150,7 +150,7 @@ void swap_phase_with_recovery(EdgeList& edges, GenerateResult& result,
                               const GuardrailConfig& guard,
                               SwapConfig swap_config,
                               std::uint64_t expected_fp,
-                              const EdgeList* pristine,
+                              const EdgeList& pristine,
                               std::uint64_t retry_chain,
                               const char* input_phase) {
   const obs::ObsContext& obs = swap_config.obs;
@@ -180,7 +180,10 @@ void swap_phase_with_recovery(EdgeList& edges, GenerateResult& result,
       if (obs.metrics != nullptr)
         obs.metrics->counter("recovery.swap_retries")->add(1);
       if (obs.trace != nullptr) obs.trace->instant("swap retry (reseed)");
-      swap_config.seed = splitmix64_next(retry_chain);
+      // A resumed chain takes its stream from resume_chain_state, so the
+      // reseed goes there too; a fresh chain (start 0) reads `seed`.
+      swap_config.seed = swap_config.resume_chain_state =
+          splitmix64_next(retry_chain);
       result.swap_stats =
           run_swaps(edges, swap_config, guard.faults.force_swap_stall);
       simple = check_simple(output_census(edges, result.swap_stats));
@@ -189,7 +192,7 @@ void swap_phase_with_recovery(EdgeList& edges, GenerateResult& result,
       obs::TraceSpan repair_span(obs.trace, "repair pass");
       if (obs.metrics != nullptr)
         obs.metrics->counter("recovery.repairs")->add(1);
-      const std::vector<std::uint64_t> target = degrees_of(*pristine);
+      const std::vector<std::uint64_t> target = degrees_of(pristine);
       result.report.repair =
           repair_to_degrees(edges, target, splitmix64_next(retry_chain));
       if (check_simple(edges).ok()) {
@@ -218,6 +221,85 @@ void swap_phase_with_recovery(EdgeList& edges, GenerateResult& result,
       !degrees.ok() && check_degree_fingerprint(expected_fp, edges).ok();
   record(result.report, guard.policy, "degrees", std::move(degrees),
          degrees_fixed);
+}
+
+/// What differs between the swap phases of generate, shuffle and resume.
+struct SwapPlan {
+  std::size_t iterations = 0;
+  std::uint64_t seed = 0;
+  /// kRepair's reseed stream: retry k runs on its k-th draw.
+  std::uint64_t retry_chain = 0;
+  /// Resume only: the checkpoint's chain position, and the degree
+  /// fingerprint it recorded for its edge list.
+  std::size_t start_iteration = 0;
+  std::uint64_t resume_chain_state = 0;
+  std::optional<std::uint64_t> checkpoint_fp;
+  /// Generate only: the phase whose output is the swap input.
+  const char* input_phase = nullptr;
+};
+
+/// The guarded swap phase (Algorithm III.1 under guardrails and
+/// governance) on result.edges: the tail of generate, all of shuffle, the
+/// rest of a resumed chain.
+void guarded_swap_phase(GenerateResult& result, const GenerateConfig& config,
+                        const RunGovernor* gov, exec::PhaseTimingSink& sink,
+                        const SwapPlan& plan) {
+  const GuardrailConfig& guard = config.guardrails;
+  // Snapshot of the input, taken before faults can damage it: a streaming
+  // degree fingerprint for the preservation check, plus (under kRepair
+  // only) a copy of the edge list — cheaper than counting degrees up
+  // front, and the exact repair target is derived from it on demand.
+  std::uint64_t expected_fp = 0;
+  EdgeList pristine;
+  if (guard.policy != RecoveryPolicy::kOff) {
+    expected_fp = degree_fingerprint(result.edges);
+    // A checkpoint's fingerprint was computed from its own edge list when
+    // it was written, so a mismatch means memory corruption or a tampered
+    // file that still passes CRC — reject rather than resume a broken chain.
+    if (plan.checkpoint_fp)
+      record(result.report, guard.policy, "checkpoint",
+             expected_fp == *plan.checkpoint_fp
+                 ? Status::Ok()
+                 : Status(StatusCode::kCheckpointInvalid,
+                          "degree fingerprint does not match snapshot"));
+    if (guard.policy == RecoveryPolicy::kRepair) pristine = result.edges;
+  }
+  if (guard.faults.edge_faults())
+    result.report.faults_injected =
+        inject_edge_faults(result.edges, guard.faults, config.obs);
+
+  result.timing.start("swaps");
+  {
+    obs::TraceSpan span(config.obs.trace, "swaps");
+    obs::PhaseEventScope events(config.obs, "swaps");
+    SwapConfig swap_config;
+    swap_config.iterations = plan.iterations;
+    swap_config.seed = plan.seed;
+    swap_config.start_iteration = plan.start_iteration;
+    swap_config.resume_chain_state = plan.resume_chain_state;
+    swap_config.track_swapped_edges = config.track_swapped_edges;
+    swap_config.timings = &sink;
+    swap_config.obs = config.obs;
+    wire_swap_governance(swap_config, gov, config.governance, guard,
+                         &result.report);
+    // The memory ceiling is checked against the phase's estimated footprint
+    // BEFORE swap_edges allocates; a trip makes the phase return immediately
+    // with its input as best-so-far.
+    if (gov != nullptr)
+      (void)gov->memory_exceeded(swap_footprint_bytes(result.edges.size()));
+    if (guard.policy == RecoveryPolicy::kOff)
+      result.swap_stats = swap_edges(result.edges, swap_config);
+    else
+      swap_phase_with_recovery(result.edges, result, guard, swap_config,
+                               expected_fp, pristine, plan.retry_chain,
+                               plan.input_phase);
+  }
+  result.timing.stop();
+  record_curtailment(result.report, gov, config.obs, "swaps",
+                     result.swap_stats.iterations.size(),
+                     plan.iterations - plan.start_iteration,
+                     result.swap_stats.acceptance());
+  result.report.phase_timings = sink.snapshot();
 }
 
 template <typename Fn>
@@ -335,107 +417,29 @@ GenerateResult generate_null_graph(const DegreeDistribution& dist,
   record_curtailment(result.report, gov, config.obs, "edge generation",
                      result.edges.size(), 0);
 
-  // Snapshot of the clean generation, taken before faults can damage it:
-  // a streaming degree fingerprint for the preservation check, plus (under
-  // kRepair only) a copy of the edge list — cheaper than counting degrees
-  // up front, and the exact repair target is derived from it on demand.
-  std::uint64_t expected_fp = 0;
-  EdgeList pristine;
-  if (checking) {
-    expected_fp = degree_fingerprint(result.edges);
-    if (guard.policy == RecoveryPolicy::kRepair) pristine = result.edges;
-  }
-  if (guard.faults.edge_faults())
-    result.report.faults_injected =
-        inject_edge_faults(result.edges, guard.faults, config.obs);
-
-  result.timing.start("swaps");
-  {
-    obs::TraceSpan span(config.obs.trace, "swaps");
-    obs::PhaseEventScope events(config.obs, "swaps");
-    SwapConfig swap_config;
-    swap_config.iterations = config.swap_iterations;
-    swap_config.seed = splitmix64_next(seed_chain);
-    swap_config.track_swapped_edges = config.track_swapped_edges;
-    swap_config.timings = &sink;
-    swap_config.obs = config.obs;
-    wire_swap_governance(swap_config, gov, config.governance, guard,
-                         &result.report);
-    // The memory ceiling is checked against the phase's estimated footprint
-    // BEFORE swap_edges allocates; a trip makes the phase return immediately
-    // with the (simple by construction) edge-skip output as best-so-far.
-    if (gov != nullptr)
-      (void)gov->memory_exceeded(swap_footprint_bytes(result.edges.size()));
-    if (checking) {
-      swap_phase_with_recovery(
-          result.edges, result, guard, swap_config, expected_fp,
-          guard.policy == RecoveryPolicy::kRepair ? &pristine : nullptr,
-          splitmix64_next(seed_chain), "edge generation");
-    } else {
-      result.swap_stats = swap_edges(result.edges, swap_config);
-    }
-  }
-  result.timing.stop();
-  record_curtailment(result.report, gov, config.obs, "swaps",
-                     result.swap_stats.iterations.size(),
-                     config.swap_iterations, result.swap_stats.acceptance());
-  result.report.phase_timings = sink.snapshot();
+  SwapPlan plan;
+  plan.iterations = config.swap_iterations;
+  plan.seed = splitmix64_next(seed_chain);
+  plan.retry_chain = splitmix64_next(seed_chain);
+  plan.input_phase = "edge generation";
+  guarded_swap_phase(result, config, gov, sink, plan);
   return result;
 }
 
 GenerateResult shuffle_graph(EdgeList edges, const GenerateConfig& config) {
   GenerateResult result;
   result.edges = std::move(edges);
-  const GuardrailConfig& guard = config.guardrails;
-  const bool checking = guard.policy != RecoveryPolicy::kOff;
   std::uint64_t seed_chain = config.seed;
-
   const GovernorScope governor(config.governance);
-  const RunGovernor* gov = governor.get();
   exec::PhaseTimingSink sink;
-
-  // The input's own degree sequence is the contract; snapshot (fingerprint
-  // plus, under kRepair, the pristine list itself) before any injected
-  // corruption. No input simplicity check: dirty shuffle inputs are
-  // legitimate — the swap chain is the documented multigraph cleaner.
-  std::uint64_t expected_fp = 0;
-  EdgeList pristine;
-  if (checking) {
-    expected_fp = degree_fingerprint(result.edges);
-    if (guard.policy == RecoveryPolicy::kRepair) pristine = result.edges;
-  }
-  if (guard.faults.edge_faults())
-    result.report.faults_injected =
-        inject_edge_faults(result.edges, guard.faults, config.obs);
-
-  result.timing.start("swaps");
-  {
-    obs::TraceSpan span(config.obs.trace, "swaps");
-    obs::PhaseEventScope events(config.obs, "swaps");
-    SwapConfig swap_config;
-    swap_config.iterations = config.swap_iterations;
-    swap_config.seed = splitmix64_next(seed_chain);
-    swap_config.track_swapped_edges = config.track_swapped_edges;
-    swap_config.timings = &sink;
-    swap_config.obs = config.obs;
-    wire_swap_governance(swap_config, gov, config.governance, guard,
-                         &result.report);
-    if (gov != nullptr)
-      (void)gov->memory_exceeded(swap_footprint_bytes(result.edges.size()));
-    if (checking) {
-      swap_phase_with_recovery(
-          result.edges, result, guard, swap_config, expected_fp,
-          guard.policy == RecoveryPolicy::kRepair ? &pristine : nullptr,
-          splitmix64_next(seed_chain), nullptr);
-    } else {
-      result.swap_stats = swap_edges(result.edges, swap_config);
-    }
-  }
-  result.timing.stop();
-  record_curtailment(result.report, gov, config.obs, "swaps",
-                     result.swap_stats.iterations.size(),
-                     config.swap_iterations, result.swap_stats.acceptance());
-  result.report.phase_timings = sink.snapshot();
+  // The input's own degree sequence is the contract. No input simplicity
+  // check: dirty shuffle inputs are legitimate — the swap chain is the
+  // documented multigraph cleaner.
+  SwapPlan plan;
+  plan.iterations = config.swap_iterations;
+  plan.seed = splitmix64_next(seed_chain);
+  plan.retry_chain = splitmix64_next(seed_chain);
+  guarded_swap_phase(result, config, governor.get(), sink, plan);
   return result;
 }
 
@@ -443,58 +447,19 @@ GenerateResult resume_null_graph(const Checkpoint& checkpoint,
                                  const GenerateConfig& config) {
   GenerateResult result;
   result.edges = checkpoint.edges;
-  const GuardrailConfig& guard = config.guardrails;
-  const bool checking = guard.policy != RecoveryPolicy::kOff;
-
   const GovernorScope governor(config.governance);
-  const RunGovernor* gov = governor.get();
   exec::PhaseTimingSink sink;
-
-  // The snapshot's fingerprint was computed from its own edge list when it
-  // was written, so a mismatch here means memory corruption or a tampered
-  // file that still passes CRC — reject rather than resume a broken chain.
-  if (checking)
-    record(result.report, guard.policy, "checkpoint",
-           degree_fingerprint(result.edges) == checkpoint.degree_fingerprint
-               ? Status::Ok()
-               : Status(StatusCode::kCheckpointInvalid,
-                        "degree fingerprint does not match snapshot"));
-
-  const std::uint64_t expected_fp = degree_fingerprint(result.edges);
-
-  result.timing.start("swaps");
-  SwapConfig swap_config;
-  swap_config.iterations =
-      static_cast<std::size_t>(checkpoint.total_iterations);
-  swap_config.seed = checkpoint.swap_seed;
-  swap_config.start_iteration =
+  SwapPlan plan;
+  plan.iterations = static_cast<std::size_t>(checkpoint.total_iterations);
+  plan.seed = checkpoint.swap_seed;
+  // The retry stream comes from the checkpoint alone, so a resumed kRepair
+  // run is as reproducible as an uninterrupted one.
+  plan.retry_chain = checkpoint.chain_state ^ 0x2545f4914f6cdd1dULL;
+  plan.start_iteration =
       static_cast<std::size_t>(checkpoint.completed_iterations);
-  swap_config.resume_chain_state = checkpoint.chain_state;
-  swap_config.track_swapped_edges = config.track_swapped_edges;
-  swap_config.timings = &sink;
-  swap_config.obs = config.obs;
-  wire_swap_governance(swap_config, gov, config.governance, guard,
-                         &result.report);
-  if (gov != nullptr)
-    (void)gov->memory_exceeded(swap_footprint_bytes(result.edges.size()));
-  {
-    obs::TraceSpan span(config.obs.trace, "swaps");
-    obs::PhaseEventScope events(config.obs, "swaps");
-    result.swap_stats = swap_edges(result.edges, swap_config);
-  }
-  result.timing.stop();
-  record_curtailment(result.report, gov, config.obs, "swaps",
-                     result.swap_stats.iterations.size(),
-                     swap_config.iterations - swap_config.start_iteration,
-                     result.swap_stats.acceptance());
-
-  if (checking) {
-    record(result.report, guard.policy, "swaps",
-           check_simple(output_census(result.edges, result.swap_stats)));
-    record(result.report, guard.policy, "degrees",
-           check_degree_fingerprint(expected_fp, result.edges));
-  }
-  result.report.phase_timings = sink.snapshot();
+  plan.resume_chain_state = checkpoint.chain_state;
+  plan.checkpoint_fp = checkpoint.degree_fingerprint;
+  guarded_swap_phase(result, config, governor.get(), sink, plan);
   return result;
 }
 
@@ -513,30 +478,6 @@ Result<GenerateResult> shuffle_graph_checked(EdgeList edges,
     checked.guardrails.policy = RecoveryPolicy::kReport;
   return run_checked(
       [&] { return shuffle_graph(std::move(edges), checked); });
-}
-
-ConnectedGenerateResult generate_connected_null_graph(
-    const DegreeDistribution& dist, const GenerateConfig& config,
-    std::size_t max_attempts) {
-  ConnectedGenerateResult outcome;
-  std::uint64_t seed_chain = config.seed ^ 0x2545f4914f6cdd1dULL;
-  for (outcome.attempts_used = 1; outcome.attempts_used <= max_attempts;
-       ++outcome.attempts_used) {
-    GenerateConfig attempt = config;
-    attempt.seed = splitmix64_next(seed_chain);
-    outcome.result = generate_null_graph(dist, attempt);
-    if (is_connected(outcome.result.edges, dist.num_vertices())) {
-      outcome.connected = true;
-      return outcome;
-    }
-  }
-  outcome.attempts_used = max_attempts;
-  if (config.guardrails.policy != RecoveryPolicy::kOff)
-    record(outcome.result.report, config.guardrails.policy, "connectivity",
-           Status(StatusCode::kConnectivityExhausted,
-                  "no connected sample in " + std::to_string(max_attempts) +
-                      " attempts"));
-  return outcome;
 }
 
 GenerateResult generate_for_sequence(const std::vector<std::uint64_t>& degrees,

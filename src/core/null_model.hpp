@@ -144,33 +144,17 @@ Result<GenerateResult> generate_null_graph_checked(
 Result<GenerateResult> shuffle_graph_checked(EdgeList edges,
                                              const GenerateConfig& config = {});
 
-/// Connectivity-conditioned variant: resamples (new seeds derived from
-/// config.seed) until the generated graph is connected over all
-/// dist.num_vertices() vertices, at most `max_attempts` times. Returns the
-/// last attempt regardless; `attempts_used` and `connected` report the
-/// outcome. Exhausting the budget records kConnectivityExhausted in the
-/// result's report (and throws it under kStrict). Note the sample is
-/// uniform over the CONNECTED subspace only in the rejection-sampling
-/// sense (standard practice; swaps do not preserve connectivity, so
-/// conditioning happens at whole-graph granularity).
-struct ConnectedGenerateResult {
-  GenerateResult result;
-  std::size_t attempts_used = 0;
-  bool connected = false;
-};
-ConnectedGenerateResult generate_connected_null_graph(
-    const DegreeDistribution& dist, const GenerateConfig& config = {},
-    std::size_t max_attempts = 32);
-
 /// Continuation of a checkpointed run (see io/checkpoint.hpp): resumes the
 /// swap chain from the snapshot's edge list and RNG stream position and
 /// runs the remaining iterations. With the same thread count as the
 /// original run the final edge list is bit-identical to the uninterrupted
 /// one (determinism is a single-thread contract for the parallel swap
 /// phase, matching DESIGN.md). GenerateConfig::seed and swap_iterations are
-/// ignored — the checkpoint carries both; guardrails and governance apply
-/// as usual. A snapshot whose degree fingerprint no longer matches its
-/// edge list records kCheckpointInvalid (strict: throws).
+/// ignored — the checkpoint carries both; guardrails (retry-with-reseed,
+/// repair, fault injection) and governance apply as in shuffle_graph, with
+/// the retry seeds derived from the checkpoint. A snapshot whose degree
+/// fingerprint no longer matches its edge list records kCheckpointInvalid
+/// (strict: throws).
 struct Checkpoint;  // io/checkpoint.hpp
 GenerateResult resume_null_graph(const Checkpoint& checkpoint,
                                  const GenerateConfig& config = {});

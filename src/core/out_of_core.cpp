@@ -48,28 +48,30 @@ SpillInstruments spill_instruments(const obs::ObsContext& obs) {
   return ins;
 }
 
-/// Shared shard-write policy: bounded exponential backoff, the injection
-/// countdown armed from FaultPlan::fail_spill_writes, retries counted.
-CheckpointRetryPolicy shard_write_policy(std::size_t* inject_left,
-                                         const SpillInstruments& ins) {
-  CheckpointRetryPolicy policy;
-  policy.inject_io_failures = inject_left;
-  policy.retries = ins.write_retries;
-  return policy;
-}
+/// Everything that regenerates a run's shards bit-identically: the
+/// generation inputs (borrowed), the shard plan, and the skip seed and
+/// task size in `skip_config`, whose governor also bounds the loop.
+struct ShardSource {
+  const DegreeDistribution* dist = nullptr;
+  const ProbabilityMatrix* P = nullptr;
+  SkipShardPlan plan;
+  EdgeSkipConfig skip_config;
+  std::string dir;
+  std::uint64_t shard_count = 0;
+};
 
 /// Rebuilds the generation inputs a spill directory's manifest describes:
 /// the degree distribution, the probability matrix (same method/refine as
-/// the original run), and the shard plan. Deterministic — the manifest's
-/// seed/edges_per_task land in `skip_config`, so regenerated shards are
-/// bit-identical to the originals. kShardCorrupt when the manifest's
-/// fields cannot name a valid pipeline.
+/// the original run), and the shard plan, into `dist`, `P` and `src`.
+/// Deterministic — the manifest's seed/edges_per_task land in
+/// `src.skip_config`, so regenerated shards are bit-identical to the
+/// originals. kShardCorrupt when the manifest's fields cannot name a
+/// valid pipeline.
 Status pipeline_from_manifest(const ShardManifest& manifest,
-                              const RunGovernor* gov,
+                              const std::string& dir, const RunGovernor* gov,
                               exec::PhaseTimingSink* sink,
                               DegreeDistribution& dist, ProbabilityMatrix& P,
-                              SkipShardPlan& plan,
-                              EdgeSkipConfig& skip_config) {
+                              ShardSource& src) {
   if (manifest.probability_method >
       static_cast<std::uint64_t>(ProbabilityMethod::kChungLu))
     return Status(StatusCode::kShardCorrupt,
@@ -94,12 +96,69 @@ Status pipeline_from_manifest(const ShardManifest& manifest,
   P = generate_probabilities(
       dist, static_cast<ProbabilityMethod>(manifest.probability_method),
       static_cast<int>(manifest.refine_iterations), gov, sink);
-  skip_config.seed = manifest.seed;
-  skip_config.edges_per_task = manifest.edges_per_task;
-  skip_config.governor = gov;
-  skip_config.timings = sink;
-  plan = plan_edge_skip(P, dist, skip_config);
+  src.dist = &dist;
+  src.P = &P;
+  src.skip_config.seed = manifest.seed;
+  src.skip_config.edges_per_task = manifest.edges_per_task;
+  src.skip_config.governor = gov;
+  src.skip_config.timings = sink;
+  src.plan = plan_edge_skip(P, dist, src.skip_config);
+  src.dir = dir;
+  src.shard_count = manifest.shard_count;
   return Status::Ok();
+}
+
+/// One shard's regenerate-and-commit step, shared by the spill loop and
+/// fsck --repair.
+struct ShardCommit {
+  EdgeList edges;
+  /// Governance stopped the run mid-shard: the partial unit range was NOT
+  /// committed (a later resume regenerates the shard whole).
+  bool stopped = false;
+  Status status;  // the atomic commit's outcome
+  SpillWriteStats wstats;
+};
+
+ShardCommit regenerate_shard(const ShardSource& src, std::uint64_t s,
+                             const CheckpointRetryPolicy& policy) {
+  ShardCommit commit;
+  commit.edges = edge_skip_generate_shard(*src.P, *src.dist, src.plan,
+                                          src.skip_config, s, src.shard_count);
+  const RunGovernor* gov = src.skip_config.governor;
+  commit.stopped = gov != nullptr && gov->stopped();
+  if (!commit.stopped)
+    commit.status = write_spill_shard(src.dir, s, src.shard_count,
+                                      commit.edges, policy, &commit.wstats);
+  return commit;
+}
+
+/// Trusts shard `s` when its file is CRC-complete and its header names
+/// this run's geometry (anything else — missing, torn, another run's —
+/// is regenerated). With a census, one streaming pass verifies AND
+/// yields the edges it needs.
+bool reuse_shard(const ShardSource& src, std::uint64_t s,
+                 ShardLocalCensus* shard_census, std::uint64_t& edges_out) {
+  const std::string path = shard_path(src.dir, s);
+  SpillShardInfo info;
+  if (shard_census == nullptr) {
+    if (!validate_spill_shard(path, s, src.shard_count, &info).ok())
+      return false;
+    edges_out = info.edge_count;
+    return true;
+  }
+  EdgeList edges;
+  const Status read = read_spill_shard_blocks(
+      path,
+      [&edges](const Edge* block, std::size_t n) {
+        edges.insert(edges.end(), block, block + n);
+      },
+      &info);
+  if (!read.ok() || info.shard_index != s ||
+      info.shard_count != src.shard_count)
+    return false;
+  shard_census->add_shard(edges);
+  edges_out = edges.size();
+  return true;
 }
 
 /// The swap phase cannot run against a graph that never materializes in
@@ -110,6 +169,129 @@ void record_swaps_skipped(PipelineReport& report, std::size_t iterations) {
       {"swaps", "skipped", StatusCode::kMemoryBudget,
        "out-of-core graph stays on disk; rerun in-core (or raise "
        "--max-memory-mb) to mix via swaps"});
+}
+
+/// The spill shard loop. A fresh spill (`trust_existing` false) writes the
+/// manifest first and generates every shard; resume_from_spill (true)
+/// trusts every shard reuse_shard accepts and regenerates the rest. Serial
+/// across shards (each shard is parallel inside): at most ONE shard's
+/// edges + census table are resident at a time, which is the
+/// bounded-memory contract the shard count was sized for.
+void spill_shards(const ShardSource& src, bool trust_existing,
+                  const GenerateConfig& config, GenerateResult& result) {
+  const GuardrailConfig& guard = config.guardrails;
+  const bool checking = guard.policy != RecoveryPolicy::kOff;
+  const SpillInstruments ins = spill_instruments(config.obs);
+  const RunGovernor* gov = src.skip_config.governor;
+  const std::uint64_t shard_count = src.shard_count;
+  result.spill.spilled = true;
+  result.spill.dir = src.dir;
+  result.spill.shard_count = shard_count;
+  if (ins.shard_count != nullptr)
+    ins.shard_count->set(static_cast<std::int64_t>(shard_count));
+
+  if (!trust_existing) {
+    Status setup = ensure_spill_dir(src.dir);
+    if (setup.ok()) {
+      ShardManifest manifest;
+      manifest.seed = src.skip_config.seed;
+      manifest.edges_per_task = src.skip_config.edges_per_task;
+      manifest.shard_count = shard_count;
+      manifest.probability_method =
+          static_cast<std::uint64_t>(config.probability_method);
+      manifest.refine_iterations =
+          static_cast<std::uint64_t>(std::max(config.refine_iterations, 0));
+      manifest.classes.reserve(src.dist->num_classes());
+      for (const DegreeClass& c : src.dist->classes())
+        manifest.classes.push_back({c.degree, c.count});
+      setup = write_shard_manifest(src.dir, manifest);
+    }
+    if (!setup.ok()) {
+      if (ins.write_failures != nullptr) ins.write_failures->add(1);
+      record(result.report, guard.policy, "spill", std::move(setup));
+      return;
+    }
+  }
+
+  ShardLocalCensus shard_census;
+  // Bounded exponential backoff, the injection countdown armed from
+  // FaultPlan::fail_spill_writes, retries counted.
+  std::size_t inject_left = guard.faults.fail_spill_writes;
+  CheckpointRetryPolicy policy;
+  policy.inject_io_failures = &inject_left;
+  policy.retries = ins.write_retries;
+  Status write_status = Status::Ok();
+  for (std::uint64_t s = 0; s < shard_count; ++s) {
+    if (gov != nullptr && gov->stopped()) break;
+    std::uint64_t shard_edges = 0;
+    if (trust_existing &&
+        reuse_shard(src, s, checking ? &shard_census : nullptr,
+                    shard_edges)) {
+      ++result.spill.shards_reused;
+      if (ins.shards_reused != nullptr) ins.shards_reused->add(1);
+    } else {
+      if (guard.faults.slow_phase_ms > 0)
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(guard.faults.slow_phase_ms));
+      const ShardCommit commit = regenerate_shard(src, s, policy);
+      if (commit.stopped) break;
+      write_status = commit.status;
+      if (!write_status.ok()) break;
+      if (checking) shard_census.add_shard(commit.edges);
+      shard_edges = commit.edges.size();
+      ++result.spill.shards_written;
+      if (ins.shards_written != nullptr) ins.shards_written->add(1);
+      if (ins.edges_spilled != nullptr) ins.edges_spilled->add(shard_edges);
+      if (ins.bytes_written != nullptr)
+        ins.bytes_written->add(commit.wstats.bytes_written);
+      if (config.obs.events != nullptr) {
+        // Per committed SHARD (not per edge): firmly outside the hot loop.
+        const std::string detail =
+            "shard " + std::to_string(s) + "/" + std::to_string(shard_count) +
+            (trust_existing ? " regenerated" : "");
+        obs::emit_event(config.obs, obs::EventKind::kShardCommit,
+                        "edge generation", shard_edges, detail);
+      }
+    }
+    result.spill.edges_on_disk += shard_edges;
+    result.spill.max_shard_edges =
+        std::max(result.spill.max_shard_edges, shard_edges);
+  }
+  if (ins.max_shard_edges != nullptr)
+    ins.max_shard_edges->set(
+        static_cast<std::int64_t>(result.spill.max_shard_edges));
+
+  const std::uint64_t visited =
+      result.spill.shards_written + result.spill.shards_reused;
+  record_curtailment(result.report, gov, config.obs, "edge generation",
+                     visited, shard_count);
+  if (!write_status.ok()) {
+    // Unlike a checkpoint, the shard IS the data: a commit that failed
+    // even after the backoff retries fails the phase, typed.
+    if (ins.write_failures != nullptr) ins.write_failures->add(1);
+    record(result.report, guard.policy, "spill", std::move(write_status));
+    return;
+  }
+  if (visited != shard_count) return;
+  if (trust_existing) {
+    result.report.degradations.push_back(
+        {"edge generation", "resume-from-spill", StatusCode::kOk,
+         std::to_string(result.spill.shards_reused) + " shards reused, " +
+             std::to_string(result.spill.shards_written) +
+             " regenerated -> " + src.dir});
+    obs::emit_event(config.obs, obs::EventKind::kDegradation,
+                    "edge generation", visited,
+                    result.report.degradations.back().detail);
+  }
+  if (checking) {
+    // Complete spill: the folded shard-local censuses are a full
+    // simplicity proof (shards partition the candidate-pair space).
+    record(result.report,
+           guard.policy == RecoveryPolicy::kRepair ? RecoveryPolicy::kReport
+                                                   : guard.policy,
+           "edge generation", check_simple(shard_census.total()));
+    record_swaps_skipped(result.report, config.swap_iterations);
+  }
 }
 
 }  // namespace
@@ -146,29 +328,28 @@ GenerateResult generate_null_graph_spilled(
     const GenerateConfig& config, const RunGovernor* gov,
     GenerateResult result, exec::PhaseTimingSink* sink,
     std::uint64_t skip_seed) {
-  const GuardrailConfig& guard = config.guardrails;
-  const bool checking = guard.policy != RecoveryPolicy::kOff;
-  const SpillInstruments ins = spill_instruments(config.obs);
-
   result.timing.start("edge generation");
   {
     obs::TraceSpan span(config.obs.trace, "edge generation (spill)");
 
-    EdgeSkipConfig skip_config;
-    skip_config.seed = skip_seed;
-    skip_config.governor = gov;
-    skip_config.timings = sink;
-    const SkipShardPlan plan = plan_edge_skip(P, dist, skip_config);
+    ShardSource src;
+    src.dist = &dist;
+    src.P = &P;
+    src.dir = config.spill.dir;
+    src.skip_config.seed = skip_seed;
+    src.skip_config.governor = gov;
+    src.skip_config.timings = sink;
+    src.plan = plan_edge_skip(P, dist, src.skip_config);
 
     const std::size_t ceiling =
         gov != nullptr ? gov->budget().max_memory_bytes : 0;
-    const std::uint64_t shard_count =
+    src.shard_count =
         config.spill.shard_count != 0
             ? std::max<std::uint64_t>(config.spill.shard_count, 1)
-            : auto_shard_count(plan.expected_edges, ceiling,
-                               plan.unit_count());
+            : auto_shard_count(src.plan.expected_edges, ceiling,
+                               src.plan.unit_count());
     const std::size_t projected =
-        generation_footprint_bytes(plan.expected_edges);
+        generation_footprint_bytes(src.plan.expected_edges);
     const bool over_ceiling =
         gov != nullptr && gov->would_exceed_memory(projected);
 
@@ -183,104 +364,16 @@ GenerateResult generate_null_graph_spilled(
       event.detail = "projected " + mib_string(projected) +
                      (over_ceiling ? " exceeds ceiling " + mib_string(ceiling)
                                    : " (forced)") +
-                     "; " + std::to_string(shard_count) + " shards -> " +
+                     "; " + std::to_string(src.shard_count) + " shards -> " +
                      config.spill.dir;
       obs::emit_event(config.obs, obs::EventKind::kDegradation,
-                      "edge generation", shard_count, event.detail);
+                      "edge generation", src.shard_count, event.detail);
       result.report.degradations.push_back(std::move(event));
     }
     if (config.obs.trace != nullptr)
       config.obs.trace->instant("spill-to-disk");
 
-    result.spill.spilled = true;
-    result.spill.dir = config.spill.dir;
-    result.spill.shard_count = shard_count;
-    if (ins.shard_count != nullptr)
-      ins.shard_count->set(static_cast<std::int64_t>(shard_count));
-
-    Status setup = ensure_spill_dir(config.spill.dir);
-    if (setup.ok()) {
-      ShardManifest manifest;
-      manifest.seed = skip_seed;
-      manifest.edges_per_task = skip_config.edges_per_task;
-      manifest.shard_count = shard_count;
-      manifest.probability_method =
-          static_cast<std::uint64_t>(config.probability_method);
-      manifest.refine_iterations =
-          static_cast<std::uint64_t>(std::max(config.refine_iterations, 0));
-      manifest.classes.reserve(dist.num_classes());
-      for (const DegreeClass& c : dist.classes())
-        manifest.classes.push_back({c.degree, c.count});
-      setup = write_shard_manifest(config.spill.dir, manifest);
-    }
-    if (!setup.ok()) {
-      if (ins.write_failures != nullptr) ins.write_failures->add(1);
-      record(result.report, guard.policy, "spill", std::move(setup));
-      result.timing.stop();
-      result.report.phase_timings = sink->snapshot();
-      return result;
-    }
-
-    // Serial across shards (each shard is parallel inside): at most ONE
-    // shard's edges + census table are resident at a time, which is the
-    // bounded-memory contract the shard count was sized for.
-    ShardLocalCensus shard_census;
-    std::size_t inject_left = guard.faults.fail_spill_writes;
-    const CheckpointRetryPolicy policy = shard_write_policy(&inject_left, ins);
-    Status write_status = Status::Ok();
-    for (std::uint64_t s = 0; s < shard_count; ++s) {
-      if (gov != nullptr && gov->stopped()) break;
-      if (guard.faults.slow_phase_ms > 0)
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(guard.faults.slow_phase_ms));
-      const EdgeList shard =
-          edge_skip_generate_shard(P, dist, plan, skip_config, s, shard_count);
-      // A governance stop mid-shard leaves a partial unit range; never
-      // commit it — resume regenerates this shard whole.
-      if (gov != nullptr && gov->stopped()) break;
-      if (checking) shard_census.add_shard(shard);
-      SpillWriteStats wstats;
-      write_status =
-          write_spill_shard(config.spill.dir, s, shard_count, shard, policy,
-                            &wstats);
-      if (!write_status.ok()) break;
-      ++result.spill.shards_written;
-      result.spill.edges_on_disk += shard.size();
-      result.spill.max_shard_edges =
-          std::max<std::uint64_t>(result.spill.max_shard_edges, shard.size());
-      if (ins.shards_written != nullptr) ins.shards_written->add(1);
-      if (ins.edges_spilled != nullptr) ins.edges_spilled->add(shard.size());
-      if (ins.bytes_written != nullptr)
-        ins.bytes_written->add(wstats.bytes_written);
-      if (config.obs.events != nullptr) {
-        // Per committed SHARD (not per edge): firmly outside the hot loop.
-        const std::string detail =
-            "shard " + std::to_string(s) + "/" + std::to_string(shard_count);
-        obs::emit_event(config.obs, obs::EventKind::kShardCommit,
-                        "edge generation", shard.size(), detail);
-      }
-    }
-    if (ins.max_shard_edges != nullptr)
-      ins.max_shard_edges->set(
-          static_cast<std::int64_t>(result.spill.max_shard_edges));
-
-    record_curtailment(result.report, gov, config.obs, "edge generation",
-                       result.spill.shards_written, shard_count);
-    if (!write_status.ok()) {
-      // Unlike a checkpoint, the shard IS the data: a commit that failed
-      // even after the backoff retries fails the phase, typed.
-      if (ins.write_failures != nullptr) ins.write_failures->add(1);
-      record(result.report, guard.policy, "spill", std::move(write_status));
-    } else if (checking &&
-               result.spill.shards_written == result.spill.shard_count) {
-      // Complete spill: the folded shard-local censuses are a full
-      // simplicity proof (shards partition the candidate-pair space).
-      record(result.report,
-             guard.policy == RecoveryPolicy::kRepair ? RecoveryPolicy::kReport
-                                                     : guard.policy,
-             "edge generation", check_simple(shard_census.total()));
-      record_swaps_skipped(result.report, config.swap_iterations);
-    }
+    spill_shards(src, /*trust_existing=*/false, config, result);
   }
   result.timing.stop();
   result.report.phase_timings = sink->snapshot();
@@ -295,11 +388,7 @@ Result<GenerateResult> resume_from_spill(const std::string& dir,
 
   GenerateResult result;
   const GuardrailConfig& guard = config.guardrails;
-  const bool checking = guard.policy != RecoveryPolicy::kOff;
-  const SpillInstruments ins = spill_instruments(config.obs);
-
   const GovernorScope governor(config.governance);
-  const RunGovernor* gov = governor.get();
   exec::PhaseTimingSink sink;
 
   try {
@@ -308,128 +397,26 @@ Result<GenerateResult> resume_from_spill(const std::string& dir,
     result.timing.start("probabilities");
     DegreeDistribution dist;
     ProbabilityMatrix P;
-    SkipShardPlan plan;
-    EdgeSkipConfig skip_config;
+    ShardSource src;
     Status rebuilt;
     {
       obs::TraceSpan span(config.obs.trace, "probabilities");
-      rebuilt = pipeline_from_manifest(manifest, gov, &sink, dist, P, plan,
-                                       skip_config);
+      rebuilt = pipeline_from_manifest(manifest, dir, governor.get(), &sink,
+                                       dist, P, src);
     }
     result.timing.stop();
     if (!rebuilt.ok()) return rebuilt;
-    if (checking) {
+    if (guard.policy != RecoveryPolicy::kOff) {
       record(result.report, guard.policy, "input", check_graphical(dist));
       record(result.report, guard.policy, "probabilities",
              check_probability_matrix(P, dist));
     }
     result.probability_diagnostics = diagnose(P, dist);
 
-    const std::uint64_t shard_count = manifest.shard_count;
-    result.spill.spilled = true;
-    result.spill.dir = dir;
-    result.spill.shard_count = shard_count;
-    if (ins.shard_count != nullptr)
-      ins.shard_count->set(static_cast<std::int64_t>(shard_count));
-
     result.timing.start("edge generation");
     {
       obs::TraceSpan span(config.obs.trace, "edge generation (resume)");
-      ShardLocalCensus shard_census;
-      std::size_t inject_left = guard.faults.fail_spill_writes;
-      const CheckpointRetryPolicy policy =
-          shard_write_policy(&inject_left, ins);
-      Status write_status = Status::Ok();
-      for (std::uint64_t s = 0; s < shard_count; ++s) {
-        if (gov != nullptr && gov->stopped()) break;
-        const std::string path = shard_path(dir, s);
-        std::uint64_t shard_edges = 0;
-        bool reused = false;
-        if (checking) {
-          // One streaming pass verifies AND yields the edges the census
-          // needs; a header that names another run's geometry is treated
-          // as corrupt (regenerated), same as a torn file.
-          EdgeList edges;
-          SpillShardInfo info;
-          const Status read = read_spill_shard_blocks(
-              path,
-              [&edges](const Edge* block, std::size_t n) {
-                edges.insert(edges.end(), block, block + n);
-              },
-              &info);
-          if (read.ok() && info.shard_index == s &&
-              info.shard_count == shard_count) {
-            shard_census.add_shard(edges);
-            shard_edges = edges.size();
-            reused = true;
-          }
-        } else {
-          SpillShardInfo info;
-          if (validate_spill_shard(path, s, shard_count, &info).ok()) {
-            shard_edges = info.edge_count;
-            reused = true;
-          }
-        }
-        if (!reused) {
-          const EdgeList shard = edge_skip_generate_shard(
-              P, dist, plan, skip_config, s, shard_count);
-          if (gov != nullptr && gov->stopped()) break;
-          if (checking) shard_census.add_shard(shard);
-          SpillWriteStats wstats;
-          write_status =
-              write_spill_shard(dir, s, shard_count, shard, policy, &wstats);
-          if (!write_status.ok()) break;
-          shard_edges = shard.size();
-          ++result.spill.shards_written;
-          if (ins.shards_written != nullptr) ins.shards_written->add(1);
-          if (ins.edges_spilled != nullptr)
-            ins.edges_spilled->add(shard.size());
-          if (ins.bytes_written != nullptr)
-            ins.bytes_written->add(wstats.bytes_written);
-          if (config.obs.events != nullptr) {
-            const std::string detail = "shard " + std::to_string(s) + "/" +
-                                       std::to_string(shard_count) +
-                                       " regenerated";
-            obs::emit_event(config.obs, obs::EventKind::kShardCommit,
-                            "edge generation", shard.size(), detail);
-          }
-        } else {
-          ++result.spill.shards_reused;
-          if (ins.shards_reused != nullptr) ins.shards_reused->add(1);
-        }
-        result.spill.edges_on_disk += shard_edges;
-        result.spill.max_shard_edges =
-            std::max(result.spill.max_shard_edges, shard_edges);
-      }
-      if (ins.max_shard_edges != nullptr)
-        ins.max_shard_edges->set(
-            static_cast<std::int64_t>(result.spill.max_shard_edges));
-
-      const std::uint64_t visited =
-          result.spill.shards_written + result.spill.shards_reused;
-      record_curtailment(result.report, gov, config.obs, "edge generation",
-                         visited, shard_count);
-      if (!write_status.ok()) {
-        if (ins.write_failures != nullptr) ins.write_failures->add(1);
-        record(result.report, guard.policy, "spill", std::move(write_status));
-      } else if (visited == shard_count) {
-        result.report.degradations.push_back(
-            {"edge generation", "resume-from-spill", StatusCode::kOk,
-             std::to_string(result.spill.shards_reused) + " shards reused, " +
-                 std::to_string(result.spill.shards_written) +
-                 " regenerated -> " + dir});
-        obs::emit_event(config.obs, obs::EventKind::kDegradation,
-                        "edge generation", visited,
-                        result.report.degradations.back().detail);
-        if (checking) {
-          record(result.report,
-                 guard.policy == RecoveryPolicy::kRepair
-                     ? RecoveryPolicy::kReport
-                     : guard.policy,
-                 "edge generation", check_simple(shard_census.total()));
-          record_swaps_skipped(result.report, config.swap_iterations);
-        }
-      }
+      spill_shards(src, /*trust_existing=*/true, config, result);
     }
     result.timing.stop();
   } catch (const StatusError& error) {
@@ -454,10 +441,11 @@ Result<FsckReport> fsck_spill_dir(const std::string& dir,
   bool ctx_ready = false;
   DegreeDistribution dist;
   ProbabilityMatrix P;
-  SkipShardPlan plan;
-  EdgeSkipConfig skip_config;
+  ShardSource src;
   exec::PhaseTimingSink sink;
   std::size_t inject_left = 0;  // fsck never injects write faults
+  CheckpointRetryPolicy policy;
+  policy.inject_io_failures = &inject_left;
 
   for (std::uint64_t s = 0; s < manifest.shard_count; ++s) {
     const std::string path = shard_path(dir, s);
@@ -477,16 +465,11 @@ Result<FsckReport> fsck_spill_dir(const std::string& dir,
       if (options.repair) {
         if (!ctx_ready) {
           const Status rebuilt = pipeline_from_manifest(
-              manifest, nullptr, &sink, dist, P, plan, skip_config);
+              manifest, dir, nullptr, &sink, dist, P, src);
           if (!rebuilt.ok()) return rebuilt;  // directory not trustworthy
           ctx_ready = true;
         }
-        const EdgeList shard = edge_skip_generate_shard(
-            P, dist, plan, skip_config, s, manifest.shard_count);
-        CheckpointRetryPolicy policy;
-        policy.inject_io_failures = &inject_left;
-        const Status rewrite =
-            write_spill_shard(dir, s, manifest.shard_count, shard, policy);
+        const Status rewrite = regenerate_shard(src, s, policy).status;
         if (rewrite.ok() &&
             validate_spill_shard(path, s, manifest.shard_count, &info).ok()) {
           verdict.state = ShardState::kRepaired;

@@ -7,10 +7,10 @@
 //   in-core ──(spill disabled, swap footprint over ceiling)──> kMemoryBudget
 //   in-core ──(spill enabled, projected generation footprint
 //              over ceiling, or --force-spill)──────────────> SPILL
-//   SPILL: per shard s = 0..S-1 of the canonical unit order
-//          (skip/sharded_skip.hpp): generate shard -> shard-local census
-//          (ds/shard_census.hpp) -> CRC-framed atomic commit
-//          (io/spill.hpp, bounded-backoff retry) -> drop from memory.
+//   SPILL: write the manifest, then per shard s = 0..S-1 of the
+//          canonical unit order (skip/sharded_skip.hpp): generate shard ->
+//          CRC-framed atomic commit (io/spill.hpp, bounded-backoff retry)
+//          -> shard-local census (ds/shard_census.hpp) -> drop from memory.
 //   SPILL ──(all shards committed)──> done: DegradationEvent recorded,
 //          edges on disk, swaps skipped (second DegradationEvent).
 //   SPILL ──(commit fails after retries)──> typed kIoError check (the
@@ -19,6 +19,7 @@
 //          names every shard; CRC-complete shards are trusted, missing or
 //          torn ones regenerate bit-identically from their stateless RNG
 //          streams — the final shard set equals the uninterrupted run's.
+//          Resume runs the same shard loop, trusting what it finds.
 
 #include <cstddef>
 #include <cstdint>

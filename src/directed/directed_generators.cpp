@@ -1,13 +1,12 @@
 #include "directed/directed_generators.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
 #include "directed/directed_swap.hpp"
-#include "ds/concurrent_hash_set.hpp"
 #include "exec/exec.hpp"
+#include "skip/pair_space.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -93,31 +92,7 @@ DirectedProbabilityMatrix directed_greedy_probabilities(
   return P;
 }
 
-DirectedProbabilityMatrix directed_chung_lu_probabilities(
-    const DirectedDegreeDistribution& dist) {
-  const std::size_t nc = dist.num_classes();
-  DirectedProbabilityMatrix P(nc);
-  const double m = static_cast<double>(dist.num_arcs());
-  if (m == 0) return P;
-  for (std::size_t i = 0; i < nc; ++i) {
-    const double out_i = static_cast<double>(dist.class_at(i).out_degree);
-    for (std::size_t j = 0; j < nc; ++j) {
-      const double in_j = static_cast<double>(dist.class_at(j).in_degree);
-      P.set(i, j, std::min(1.0, out_i * in_j / m));
-    }
-  }
-  return P;
-}
-
 namespace {
-
-std::uint64_t task_seed(std::uint64_t seed, std::uint64_t pair,
-                        std::uint64_t chunk) {
-  std::uint64_t state = seed ^ (pair * 0x9e3779b97f4a7c15ULL) ^
-                        (chunk * 0xbf58476d1ce4e5b9ULL);
-  splitmix64_next(state);
-  return splitmix64_next(state);
-}
 
 /// Ordered-pair space between from-class (n_from vertices at from_offset)
 /// and to-class; the diagonal space skips self-pairs.
@@ -143,26 +118,6 @@ struct ArcSpace {
   }
 };
 
-template <typename EmitFn>
-void traverse(double p, std::uint64_t begin, std::uint64_t end,
-              Xoshiro256ss& rng, EmitFn&& emit) {
-  if (p <= 0.0 || begin >= end) return;
-  if (p >= 1.0) {
-    for (std::uint64_t t = begin; t < end; ++t) emit(t);
-    return;
-  }
-  const double log_1mp = std::log1p(-p);
-  std::uint64_t t = begin;
-  while (true) {
-    const double skip = std::floor(std::log(rng.uniform_open()) / log_1mp);
-    if (skip >= static_cast<double>(end - t)) return;
-    t += static_cast<std::uint64_t>(skip);
-    if (t >= end) return;
-    emit(t);
-    if (++t >= end) return;
-  }
-}
-
 }  // namespace
 
 ArcList directed_edge_skip(const DirectedProbabilityMatrix& P,
@@ -183,7 +138,8 @@ ArcList directed_edge_skip(const DirectedProbabilityMatrix& P,
           const std::size_t i = static_cast<std::size_t>(pair / nc);
           const std::size_t j = static_cast<std::size_t>(pair % nc);
           const double p = P.at(i, j);
-          if (p <= 0.0) continue;
+          // !(p > 0): a NaN entry (corrupted matrix) yields no arcs.
+          if (!(p > 0.0)) continue;
           ArcSpace space;
           const std::uint64_t ni = dist.class_at(i).count;
           const std::uint64_t nj = dist.class_at(j).count;
@@ -205,70 +161,11 @@ ArcList directed_edge_skip(const DirectedProbabilityMatrix& P,
             const auto [begin, end] = block_range(
                 static_cast<std::size_t>(c),
                 static_cast<std::size_t>(subtasks), space.size);
-            Xoshiro256ss rng(task_seed(seed, pair, c));
-            traverse(p, begin, end, rng, [&](std::uint64_t t) {
+            Xoshiro256ss rng(skip_detail::task_seed(seed, pair, c));
+            skip_detail::traverse(p, begin, end, rng, [&](std::uint64_t t) {
               mine.push_back(space.decode(t));
             });
           }
-        }
-      });
-}
-
-ArcList directed_chung_lu_multigraph(const DirectedDegreeDistribution& dist,
-                                     std::uint64_t seed,
-                                     const RunGovernor* governor) {
-  const std::uint64_t m = dist.num_arcs();
-  if (m == 0) return {};
-  const std::size_t nc = dist.num_classes();
-  // Cumulative stub tables per class; a uniform stub index maps to the
-  // vertex owning it (out-stubs for sources, in-stubs for targets).
-  std::vector<std::uint64_t> out_cum(nc + 1, 0), in_cum(nc + 1, 0);
-  for (std::size_t c = 0; c < nc; ++c) {
-    out_cum[c + 1] =
-        out_cum[c] + dist.class_at(c).out_degree * dist.class_at(c).count;
-    in_cum[c + 1] =
-        in_cum[c] + dist.class_at(c).in_degree * dist.class_at(c).count;
-  }
-  auto draw = [&](const std::vector<std::uint64_t>& cum, bool out,
-                  Xoshiro256ss& rng) {
-    const std::uint64_t s = rng.bounded(cum.back());
-    const std::size_t c = static_cast<std::size_t>(
-        std::upper_bound(cum.begin(), cum.end(), s) - cum.begin() - 1);
-    const std::uint64_t d = out ? dist.class_at(c).out_degree
-                                : dist.class_at(c).in_degree;
-    return static_cast<VertexId>(dist.class_offset(c) + (s - cum[c]) / d);
-  };
-  // Per-chunk RNG streams: the draw is thread-count-invariant, and a
-  // governed stop truncates the arc list cleanly instead of leaving
-  // placeholder arcs behind.
-  exec::ParallelContext ctx;
-  ctx.seed = seed;
-  ctx.governor = governor;
-  ctx.phase = "directed chung-lu draws";
-  constexpr std::size_t kBlock = std::size_t{1} << 14;
-  return exec::collect<Arc>(
-      ctx, m, kBlock, [&](const exec::Chunk& chunk, ArcList& mine) {
-        Xoshiro256ss rng = chunk.rng();
-        mine.reserve(chunk.size());
-        for (std::uint64_t a = chunk.begin; a < chunk.end; ++a)
-          mine.push_back({draw(out_cum, true, rng), draw(in_cum, false, rng)});
-      });
-}
-
-ArcList erased_directed_chung_lu(const DirectedDegreeDistribution& dist,
-                                 std::uint64_t seed,
-                                 const RunGovernor* governor) {
-  const ArcList arcs = directed_chung_lu_multigraph(dist, seed, governor);
-  ConcurrentHashSet seen(arcs.size());
-  // The erasure pass is cheap relative to the draw; it runs ungoverned so
-  // the kept set is exactly the first-occurrence set of the draw above.
-  const exec::ParallelContext ctx;
-  return exec::collect<Arc>(
-      ctx, arcs.size(), exec::kDefaultGrain,
-      [&](const exec::Chunk& chunk, ArcList& mine) {
-        for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-          if (!arcs[i].is_loop() && !seen.test_and_set(arcs[i].key()))
-            mine.push_back(arcs[i]);
         }
       });
 }

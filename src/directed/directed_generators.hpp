@@ -9,9 +9,6 @@
 //    expected realized (in, out) distribution matches the target.
 //  * directed_edge_skip — geometric skip sampling over ordered-pair
 //    spaces (the diagonal space excludes self-arcs, so output is simple).
-//  * directed_chung_lu — the O(m) baseline: m arcs drawn out-stub x
-//    in-stub with replacement (loops/duplicates possible), plus an erased
-//    variant.
 //  * kleitman_wang — greedy exact realization of a digraphical (in, out)
 //    sequence (the directed Havel-Hakimi of [15]); doubles as the
 //    digraphicality test.
@@ -62,10 +59,6 @@ class DirectedProbabilityMatrix {
 DirectedProbabilityMatrix directed_greedy_probabilities(
     const DirectedDegreeDistribution& dist, int rounds = 32);
 
-/// Capped directed Chung-Lu probabilities: P(i,j) = min(1, out_i in_j / m).
-DirectedProbabilityMatrix directed_chung_lu_probabilities(
-    const DirectedDegreeDistribution& dist);
-
 /// Simple digraph via parallel edge skipping over the ordered spaces.
 /// The optional governor is polled per chunk; a curtailed run returns the
 /// arcs generated so far (still simple — pair spaces are disjoint).
@@ -74,18 +67,6 @@ ArcList directed_edge_skip(const DirectedProbabilityMatrix& P,
                            std::uint64_t seed = 1,
                            std::uint64_t arcs_per_task = 1u << 16,
                            const RunGovernor* governor = nullptr);
-
-/// O(m) directed Chung-Lu multigraph: m arcs, each drawn (out-stub,
-/// in-stub) with replacement. A governed stop truncates the draw cleanly
-/// (fewer arcs, no placeholder entries).
-ArcList directed_chung_lu_multigraph(const DirectedDegreeDistribution& dist,
-                                     std::uint64_t seed = 1,
-                                     const RunGovernor* governor = nullptr);
-
-/// directed_chung_lu_multigraph with loops and duplicate arcs erased.
-ArcList erased_directed_chung_lu(const DirectedDegreeDistribution& dist,
-                                 std::uint64_t seed = 1,
-                                 const RunGovernor* governor = nullptr);
 
 /// Exact greedy realization (Kleitman-Wang / directed Havel-Hakimi):
 /// connects each vertex's out-stubs to the largest residual in-degrees.

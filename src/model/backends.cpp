@@ -39,17 +39,12 @@ std::string format_note(const char* fmt, ...) {
   return buffer;
 }
 
-/// Shared degree-distribution input: --dist FILE wins, otherwise the
-/// power-law parameters (with per-backend defaults). `require_source` adds
-/// the null model's "explicitly pick one" rule; the others default to a
-/// power law so a bare `--backend chung-lu` run works.
-Result<DegreeDistribution> dist_from_spec(const ModelSpec& spec,
-                                          bool require_source) {
+/// Shared degree-distribution input of every degree-input backend: --dist
+/// FILE wins, otherwise the power law (the default source, so a bare run
+/// works) with the parameters below.
+Result<DegreeDistribution> dist_from_spec(const ModelSpec& spec) {
   if (const auto file = spec.param("dist"); file && !file->empty())
     return try_read_degree_distribution_file(*file);
-  if (require_source && !spec.has_param("powerlaw"))
-    return Status(StatusCode::kInvalidArgument,
-                  "need --dist FILE or --powerlaw");
   PowerlawParams params;
   params.n = 100000;
   params.dmax = 1000;
@@ -114,8 +109,7 @@ class NullModelBackend final : public GeneratorBackend {
 
   Result<GenerateOutput> generate(const ModelSpec& spec,
                                   const PipelineContext& ctx) const override {
-    Result<DegreeDistribution> dist =
-        dist_from_spec(spec, /*require_source=*/true);
+    Result<DegreeDistribution> dist = dist_from_spec(spec);
     if (!dist.ok()) return dist.status();
     GenerateConfig config;
     config.seed = spec.seed;
@@ -185,8 +179,7 @@ class ChungLuBackend final : public GeneratorBackend {
 
   Result<GenerateOutput> generate(const ModelSpec& spec,
                                   const PipelineContext& ctx) const override {
-    Result<DegreeDistribution> dist =
-        dist_from_spec(spec, /*require_source=*/false);
+    Result<DegreeDistribution> dist = dist_from_spec(spec);
     if (!dist.ok()) return dist.status();
     const SamplingSpace space = spec.space.value_or(default_space());
     ChungLuConfig config;
@@ -270,8 +263,7 @@ class DirectedBackend final : public GeneratorBackend {
 
   Result<GenerateOutput> generate(const ModelSpec& spec,
                                   const PipelineContext& ctx) const override {
-    Result<DegreeDistribution> dist =
-        dist_from_spec(spec, /*require_source=*/false);
+    Result<DegreeDistribution> dist = dist_from_spec(spec);
     if (!dist.ok()) return dist.status();
     std::vector<DirectedDegreeClass> classes;
     classes.reserve(dist.value().classes().size());
@@ -333,8 +325,7 @@ class BipartiteBackend final : public GeneratorBackend {
 
   Result<GenerateOutput> generate(const ModelSpec& spec,
                                   const PipelineContext& ctx) const override {
-    Result<DegreeDistribution> dist =
-        dist_from_spec(spec, /*require_source=*/false);
+    Result<DegreeDistribution> dist = dist_from_spec(spec);
     if (!dist.ok()) return dist.status();
     const BipartiteDistribution bipartite(dist.value().classes(),
                                           dist.value().classes());

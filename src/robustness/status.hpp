@@ -30,7 +30,7 @@ enum class [[nodiscard]] StatusCode : int {
   kNonSimpleOutput,        // self-loops / multi-edges survived a phase
   kDegreeMismatch,         // degree sequence not preserved across a phase
   kSwapStagnation,         // swap chain made no progress on a dirty graph
-  kConnectivityExhausted,  // connected-variant retry budget spent
+  kConnectivityExhausted,  // reserved, no producer (connected variant removed)
   kRepairIncomplete,       // repair pass could not place all deficit stubs
   kInternal,               // unclassified failure
   kDeadlineExceeded,       // RunBudget wall-clock / iteration cap expired

@@ -334,6 +334,26 @@ TEST(Resume, TamperedFingerprintIsRecordedAsInvalid) {
             StatusCode::kCheckpointInvalid);
 }
 
+TEST(Resume, RepairPolicyCleansAMultigraphSnapshot) {
+  // A snapshot of a chain that ended dirty: three doubled edges, an
+  // honest fingerprint, and no iterations left to clean them. Every
+  // vertex has degree 2, so the repair target (a 6-cycle) exists.
+  Checkpoint ckpt;
+  ckpt.swap_seed = 9;
+  ckpt.total_iterations = 4;
+  ckpt.completed_iterations = 4;
+  ckpt.chain_state = 123;
+  ckpt.edges = {{0, 1}, {0, 1}, {2, 3}, {2, 3}, {4, 5}, {4, 5}};
+  ckpt.degree_fingerprint = degree_fingerprint(ckpt.edges);
+  GenerateConfig config;
+  config.guardrails.policy = RecoveryPolicy::kRepair;
+  const GenerateResult resumed = resume_null_graph(ckpt, config);
+  EXPECT_TRUE(is_simple(resumed.edges));
+  EXPECT_EQ(degrees_of(resumed.edges), degrees_of(ckpt.edges));
+  EXPECT_TRUE(resumed.report.first_error().ok()) << resumed.report.summary();
+  EXPECT_TRUE(resumed.report.repair.touched());
+}
+
 TEST(Resume, StrictPolicyThrowsOnTamperedFingerprint) {
   Checkpoint ckpt = sample_checkpoint();
   ckpt.degree_fingerprint ^= 1;

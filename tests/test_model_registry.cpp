@@ -221,6 +221,14 @@ std::vector<SweepCase> sweep_cases() {
   lfr.swap_iterations = 0;
   cases.push_back({"lfr", lfr});
   cases.push_back({"rmat", make_spec("rmat", 7, {{"scale", "10"}})});
+  // The spaces whose dedupe runs erase_nonsimple.
+  ModelSpec erased =
+      make_spec("chung-lu", 7, {{"n", "2000"}, {"dmax", "50"}});
+  erased.space = SamplingSpace{false, false, Labeling::kStub};
+  cases.push_back({"chung-lu erased", erased});
+  ModelSpec simple_rmat = make_spec("rmat", 7, {{"scale", "10"}});
+  simple_rmat.space = SamplingSpace{false, false, Labeling::kVertex};
+  cases.push_back({"rmat simple", simple_rmat});
   return cases;
 }
 
@@ -326,10 +334,6 @@ TEST(ModelValidation, DriverRejectsWhatTheBackendDoesNotDeclare) {
   EXPECT_EQ(run(bad_space).status().code(), StatusCode::kInvalidArgument);
 
   EXPECT_EQ(run(make_spec("rmat", 1, {{"bogus", "1"}})).status().code(),
-            StatusCode::kInvalidArgument);
-
-  // Missing degree source stays the null model's explicit-choice rule.
-  EXPECT_EQ(run(make_spec("null-model", 1)).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -363,26 +363,6 @@ TEST(Guardrails, CheckedVariantReturnsTypedErrorInsteadOfThrowing) {
   EXPECT_TRUE(is_simple(good.value().edges));
 }
 
-TEST(Guardrails, ConnectivityExhaustionIsTyped) {
-  // Four vertices of degree 1: every realization is two disjoint edges,
-  // never connected.
-  const DegreeDistribution dist({{1, 4}});
-  const ConnectedGenerateResult outcome =
-      generate_connected_null_graph(dist, {}, 3);
-  EXPECT_FALSE(outcome.connected);
-  EXPECT_EQ(outcome.result.report.first_error().code(),
-            StatusCode::kConnectivityExhausted);
-
-  GenerateConfig strict;
-  strict.guardrails.policy = RecoveryPolicy::kStrict;
-  try {
-    generate_connected_null_graph(dist, strict, 3);
-    FAIL() << "expected StatusError";
-  } catch (const StatusError& error) {
-    EXPECT_EQ(error.code(), StatusCode::kConnectivityExhausted);
-  }
-}
-
 TEST(Guardrails, ShuffleReportsStagnationOnUnfixableInput) {
   // 2-vertex multigraph: every proposal is a loop or duplicate, so the
   // chain stalls and the report must say so (typed, not silent).

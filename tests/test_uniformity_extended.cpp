@@ -1,7 +1,6 @@
 // Uniformity validation for the DIRECTED and BIPARTITE swap chains, in the
 // style of test_uniformity: enumerate a tiny space of simple realizations
-// exhaustively and check visit frequencies; plus connectivity-conditioned
-// generation behaviour.
+// exhaustively and check visit frequencies.
 
 #include <gtest/gtest.h>
 
@@ -152,32 +151,6 @@ TEST(TriangleReversal, NoTrianglesMeansNoChanges) {
   const ArcList before = arcs;
   EXPECT_EQ(reverse_directed_triangles(arcs, 3, 1000), 0u);
   EXPECT_TRUE(same_arc_multiset(arcs, before));
-}
-
-TEST(ConnectedGeneration, ReportsAndDeliversConnectivity) {
-  // Dense-enough distribution: connectivity should arrive within attempts.
-  const DegreeDistribution dist({{4, 200}, {8, 50}});
-  GenerateConfig config;
-  config.seed = 1;
-  config.swap_iterations = 2;
-  const ConnectedGenerateResult outcome =
-      generate_connected_null_graph(dist, config);
-  EXPECT_TRUE(outcome.connected);
-  EXPECT_GE(outcome.attempts_used, 1u);
-  EXPECT_TRUE(is_simple(outcome.result.edges));
-}
-
-TEST(ConnectedGeneration, SparseInputMayExhaustAttempts) {
-  // Average degree ~1: a connected realization is essentially impossible;
-  // the call must terminate and report failure honestly.
-  const DegreeDistribution dist({{1, 1000}});
-  GenerateConfig config;
-  config.seed = 2;
-  config.swap_iterations = 1;
-  const ConnectedGenerateResult outcome =
-      generate_connected_null_graph(dist, config, 3);
-  EXPECT_FALSE(outcome.connected);
-  EXPECT_EQ(outcome.attempts_used, 3u);
 }
 
 }  // namespace

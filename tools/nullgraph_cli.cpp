@@ -6,19 +6,18 @@
 //   nullgraph backends [--names]       (registered models + their params)
 //   nullgraph shuffle  --in FILE [--seed S] [--swaps K] [--out FILE]
 //   nullgraph stats    --in FILE
-//   nullgraph lfr      --n N --mu MU [--seed S] [--out FILE]
 //   nullgraph dist     --in FILE [--out FILE]     (edge list -> distribution)
 //
-// generate and lfr both dispatch through the model-backend registry
-// (src/model/): --backend picks the generator (null-model, chung-lu,
-// directed, bipartite, lfr, rmat, ...), per-backend parameters are the
-// flags each backend declares (`nullgraph backends` lists them), and
+// generate dispatches through the model-backend registry (src/model/):
+// --backend picks the generator (null-model, chung-lu, directed,
+// bipartite, lfr, rmat, ...), per-backend parameters are the flags each
+// backend declares (`nullgraph backends` lists them), and
 // --space/--labeling select the sampling space per Dutta-Fosdick-Clauset.
 // The registry driver owns the shared pipeline tail: capability
 // validation, the sampling-space census, write-out, the report's `model`
 // block.
 //
-// Pipeline guardrails (generate / shuffle):
+// Pipeline guardrails (generate / shuffle / resume):
 //   --strict          abort on the first invariant violation, exit with the
 //                     violation's typed code (see below)
 //   --repair          recover: retry-with-reseed, then repair pass
@@ -63,7 +62,7 @@
 //                        --deep adds the external-merge simplicity census.
 //                        Exit 21 (kShardCorrupt) when damage remains.
 //
-// Telemetry (generate / shuffle / resume / lfr):
+// Telemetry (generate / shuffle / resume):
 //   --report-json FILE   versioned machine-readable run report: config
 //                        fingerprint, per-phase wall times, exec-layer
 //                        chunk/load-imbalance records, guardrail and
@@ -107,10 +106,10 @@
 // 3+ one per typed error class (status_exit_code in robustness/status.hpp):
 // 3 kIoError, 4 kIoMalformed, 5 kNotGraphical, 6 kProbabilityOverflow,
 // 7 kNonSimpleOutput, 8 kDegreeMismatch, 9 kSwapStagnation,
-// 10 kConnectivityExhausted, 11 kRepairIncomplete, 12 kDeadlineExceeded,
-// 13 kCancelled, 14 kSwapStalled, 15 kCapacityExhausted, 16 kMemoryBudget,
-// 17 kCheckpointInvalid, 18 kOverloaded, 19 kJobEvicted, 20 kClientProtocol,
-// 21 kShardCorrupt.
+// 10 kConnectivityExhausted (reserved), 11 kRepairIncomplete,
+// 12 kDeadlineExceeded, 13 kCancelled, 14 kSwapStalled, 15 kCapacityExhausted,
+// 16 kMemoryBudget, 17 kCheckpointInvalid, 18 kOverloaded, 19 kJobEvicted,
+// 20 kClientProtocol, 21 kShardCorrupt.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -250,14 +249,12 @@ void usage() {
                "parameters)\n"
                "  shuffle  --in FILE [--seed S --swaps K --out FILE]\n"
                "  stats    --in FILE\n"
-               "  lfr      [--n N --mu MU --dmin D --dmax D --cmin C --cmax "
-               "C --seed S --out FILE --communities FILE]\n"
                "  dist     --in FILE [--out FILE]\n"
                "  fsck     --dir DIR [--repair --deep]    (spill directory "
                "check; exit 21 on damage)\n"
-               "guardrails (generate/shuffle): --strict | --repair "
+               "guardrails (generate/shuffle/resume): --strict | --repair "
                "[--max-retries K]\n"
-               "governance (generate/shuffle/lfr): --deadline-ms N "
+               "governance (generate/shuffle): --deadline-ms N "
                "--max-swap-iterations N --max-memory-mb N\n"
                "  --checkpoint FILE --checkpoint-every N --resume FILE|DIR\n"
                "out-of-core (generate): --spill-dir DIR [--spill-shards N "
@@ -265,7 +262,7 @@ void usage() {
                "fault injection (testing): --inject-drop N --inject-dup N "
                "--inject-loop N --inject-prob N --inject-stall "
                "--inject-slow-ms N --inject-spill-fail N --inject-seed S\n"
-               "telemetry (generate/shuffle/lfr): --report-json FILE "
+               "telemetry (generate/shuffle): --report-json FILE "
                "--trace-out FILE\n"
                "  --events-out FILE (JSONL event stream) --flight-out FILE "
                "(crash flight recorder)\n"
@@ -539,18 +536,26 @@ struct Telemetry {
   }
 };
 
-/// Prints the report when anything noteworthy happened; returns the exit
-/// code the guardrail contract demands (typed for --strict/--repair
-/// residuals, 0 for record-only mode).
-int finish_with_report(const PipelineReport& report, RecoveryPolicy policy) {
+/// The exit code a finished run's report demands. The report is printed
+/// when anything noteworthy happened; guardrail residuals keep their typed
+/// codes under --strict/--repair (record-only mode warns but keeps the
+/// legacy success status), and an otherwise-clean curtailed run exits with
+/// the curtailment's code (12 deadline, 13 cancelled, 14 stalled, 16 memory
+/// budget) so callers can distinguish "done" from "cut short" without
+/// parsing stderr.
+int report_exit_code(const PipelineReport& report, RecoveryPolicy policy) {
   if (!report.ok() || report.repair.touched() || report.retries_used > 0)
     std::fprintf(stderr, "guardrails:\n%s", report.summary().c_str());
   const Status err = report.first_error();
-  if (err.ok()) return 0;
-  // Record-only mode warns but keeps the legacy success status.
-  if (policy == RecoveryPolicy::kReport) return 0;
-  std::fprintf(stderr, "error: %s\n", err.to_string().c_str());
-  return status_exit_code(err.code());
+  if (!err.ok() && policy != RecoveryPolicy::kReport) {
+    std::fprintf(stderr, "error: %s\n", err.to_string().c_str());
+    return status_exit_code(err.code());
+  }
+  const StatusCode curtailed = report.curtailed_by();
+  if (curtailed == StatusCode::kOk) return 0;
+  std::fprintf(stderr, "run curtailed: %s (best-so-far graph written)\n",
+               status_code_name(curtailed));
+  return status_exit_code(curtailed);
 }
 
 void print_graph_stats(const EdgeList& edges) {
@@ -578,12 +583,9 @@ void print_graph_stats(const EdgeList& edges) {
   }
 }
 
-/// Shared tail of generate/shuffle/resume. The graph goes out FIRST — a
-/// curtailed run's primary artifact is whatever it did finish — and only
-/// then is the exit code decided: guardrail residuals keep their typed
-/// codes, and an otherwise-clean curtailed run exits with the curtailment's
-/// code (12 deadline, 13 cancelled, 14 stalled, 16 memory budget) so
-/// callers can distinguish "done" from "cut short" without parsing stderr.
+/// Shared tail of shuffle/resume. The graph goes out FIRST — a curtailed
+/// run's primary artifact is whatever it did finish — and only then is the
+/// exit code decided (report_exit_code).
 int emit_result(const Args& args, const GenerateResult& result,
                 RecoveryPolicy policy) {
   if (result.spill.spilled) {
@@ -629,15 +631,20 @@ int emit_result(const Args& args, const GenerateResult& result,
   } else {
     print_graph_stats(result.edges);
   }
-  const int code = finish_with_report(result.report, policy);
-  if (code != 0) return code;
-  const StatusCode curtailed = result.report.curtailed_by();
-  if (curtailed != StatusCode::kOk) {
-    std::fprintf(stderr, "run curtailed: %s (best-so-far graph written)\n",
-                 status_code_name(curtailed));
-    return status_exit_code(curtailed);
-  }
-  return 0;
+  return report_exit_code(result.report, policy);
+}
+
+/// GenerateConfig of the commands that run the pipeline library directly
+/// (shuffle and both resumes). A resume takes its seed and iteration count
+/// from the checkpoint or manifest instead.
+GenerateConfig generate_config_from(const Args& args, const Telemetry& telem) {
+  GenerateConfig config;
+  config.seed = args.get_u64("seed", 1);
+  config.swap_iterations = args.get_u64("swaps", 10);
+  config.guardrails = guardrails_from(args);
+  config.governance = governance_from(args);
+  config.obs = telem.context();
+  return config;
 }
 
 /// `--resume DIR` where DIR is a spill directory: shard-granular resume.
@@ -646,12 +653,7 @@ int emit_result(const Args& args, const GenerateResult& result,
 /// regenerate bit-identically.
 int cmd_resume_spill(const Args& args, Telemetry& telem,
                      const std::string& dir) {
-  GenerateConfig config;
-  config.guardrails = guardrails_from(args);
-  config.governance = governance_from(args);
-  config.obs = telem.context();
-  config.spill.enabled = true;
-  config.spill.dir = dir;
+  const GenerateConfig config = generate_config_from(args, telem);
   const Result<GenerateResult> resumed = resume_from_spill(dir, config);
   if (!resumed.ok()) {
     std::fprintf(stderr, "error: %s\n", resumed.status().to_string().c_str());
@@ -686,10 +688,7 @@ int cmd_resume(const Args& args, Telemetry& telem) {
                static_cast<unsigned long long>(ckpt.completed_iterations),
                static_cast<unsigned long long>(ckpt.total_iterations),
                ckpt.edges.size());
-  GenerateConfig config;
-  config.guardrails = guardrails_from(args);
-  config.governance = governance_from(args);
-  config.obs = telem.context();
+  const GenerateConfig config = generate_config_from(args, telem);
   const GenerateResult result = resume_null_graph(ckpt, config);
   std::fprintf(stderr, "resumed: %zu swaps committed over %zu iterations\n",
                result.swap_stats.total_swapped(),
@@ -723,13 +722,14 @@ void print_model_stats(const model::GenerateOutput& out) {
   print_graph_stats(out.result.edges);
 }
 
-/// Shared front end for every registry-driven command: lower argv into a
-/// ModelSpec, run the driver, print its notes, and map the outcome to the
-/// same exit-code contract emit_result implements for shuffle/resume.
-int run_model_command(const std::string& command, const Args& args,
-                      Telemetry& telem, const char* default_backend) {
+/// `nullgraph generate`: lower argv into a ModelSpec, run the registry
+/// driver, print its notes, and map the outcome to the same exit-code
+/// contract emit_result implements for shuffle/resume. `--resume` instead
+/// continues a checkpoint or spill directory.
+int cmd_generate(const Args& args, Telemetry& telem) {
+  if (args.has("resume")) return cmd_resume(args, telem);
   model::ModelSpec spec;
-  spec.backend = args.get("backend").value_or(default_backend);
+  spec.backend = args.get("backend").value_or("null-model");
   spec.seed = args.get_u64("seed", 1);
   if (args.has("swaps")) spec.swap_iterations = args.get_u64("swaps", 10);
   // An unknown backend falls through to run_model, whose error names the
@@ -792,27 +792,14 @@ int run_model_command(const std::string& command, const Args& args,
   if (!run.emit_error.ok()) {
     std::fprintf(stderr, "error: %s\n", run.emit_error.to_string().c_str());
     code = status_exit_code(run.emit_error.code());
-  }
-  const PipelineReport& report = run.output.result.report;
-  if (code == 0) code = finish_with_report(report, ctx.guardrails.policy);
-  if (code == 0) {
-    const StatusCode curtailed = report.curtailed_by();
-    if (curtailed != StatusCode::kOk) {
-      std::fprintf(stderr, "run curtailed: %s (best-so-far graph written)\n",
-                   status_code_name(curtailed));
-      code = status_exit_code(curtailed);
-    }
+  } else {
+    code = report_exit_code(run.output.result.report, ctx.guardrails.policy);
   }
   const std::size_t swaps = spec.swap_iterations.value_or(
       backend != nullptr ? backend->default_swap_iterations() : 0);
-  return telem.finish(command, spec.seed, swaps, &run.output.result,
+  return telem.finish("generate", spec.seed, swaps, &run.output.result,
                       run.output.lfr ? &*run.output.lfr : nullptr, code,
                       &run.model);
-}
-
-int cmd_generate(const Args& args, Telemetry& telem) {
-  if (args.has("resume")) return cmd_resume(args, telem);
-  return run_model_command("generate", args, telem, "null-model");
 }
 
 /// `nullgraph backends`: the registry, printed. --names is the machine
@@ -835,12 +822,7 @@ int cmd_shuffle(const Args& args, Telemetry& telem) {
     return 1;
   }
   EdgeList edges = read_edge_list_file(*in);
-  GenerateConfig config;
-  config.seed = args.get_u64("seed", 1);
-  config.swap_iterations = args.get_u64("swaps", 10);
-  config.guardrails = guardrails_from(args);
-  config.governance = governance_from(args);
-  config.obs = telem.context();
+  const GenerateConfig config = generate_config_from(args, telem);
   const GenerateResult result = shuffle_graph(std::move(edges), config);
   std::fprintf(stderr, "shuffled: %zu swaps committed over %zu iterations\n",
                result.swap_stats.total_swapped(),
@@ -858,12 +840,6 @@ int cmd_stats(const Args& args) {
   }
   print_graph_stats(read_edge_list_file(*in));
   return 0;
-}
-
-int cmd_lfr(const Args& args, Telemetry& telem) {
-  // The lfr command is an alias for `generate --backend lfr`; both reach
-  // the registry driver, one governor spanning every community layer.
-  return run_model_command("lfr", args, telem, "lfr");
 }
 
 /// `nullgraph serve`: the daemon. Blocks until a termination signal or a
@@ -1249,7 +1225,6 @@ int main(int argc, char** argv) {
     Telemetry telem = Telemetry::from(args, argc, argv);
     if (command == "generate") return cmd_generate(args, telem);
     if (command == "shuffle") return cmd_shuffle(args, telem);
-    if (command == "lfr") return cmd_lfr(args, telem);
   } catch (const StatusError& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return status_exit_code(error.code());
